@@ -21,7 +21,6 @@ from .construction import (
 from .counting import (
     BigCount,
     CountTable,
-    binomial,
     count_distinguishing,
     count_proper_distinguishing,
 )
@@ -50,14 +49,11 @@ from .oracle import (
     is_proper,
 )
 from .trees import (
-    CanonicalCode,
     ChildClass,
-    ChildClasses,
     RootedTree,
     Tree,
     canonical_code,
     center,
-    child_classes,
     extract_subtree,
     original_tree,
     parse_tree,

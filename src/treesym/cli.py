@@ -24,6 +24,7 @@ from .construction import (
     construct_proper_distinguishing_coloring,
     distinguishing_chromatic_number,
     distinguishing_number,
+    parameters,
     unrank_distinguishing,
 )
 from .counting import CountTable
@@ -43,7 +44,7 @@ from .list_coloring import (
     count_proper_list_distinguishing,
     parse_list_file,
 )
-from .trees import RootedTree, Tree, center, parse_tree, to_rooted
+from .trees import RootedTree, parse_tree, to_rooted
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,15 +52,24 @@ EXIT_INPUT = 2
 EXIT_BOUND = 3
 EXIT_NO_COLORING = 4
 
-_INPUT_ERRORS = (TreeSyntaxError, InvalidTreeError, ListFormatError)
+_INPUT_ERRORS = (TreeSyntaxError, InvalidTreeError, ListFormatError,
+                 UnicodeDecodeError, OSError)
 _BOUND_ERRORS = (EnumerationBoundError, ClassCapError, SaturatedCountError)
 _COLORING_ERRORS = (NoColoringError, CountIndexError)
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """UTF-8 text of a file, or of stdin for ``-``, with one leading
+    byte-order mark dropped."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return data.decode("utf-8-sig")
+
+
+def _positive_int(tok: str) -> int:
+    k = int(tok)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {tok}")
+    return k
 
 
 def _load_tree(args):
@@ -107,9 +117,7 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
     start = time.perf_counter()
     rooted_input = isinstance(t, RootedTree)
     rt = t if rooted_input else to_rooted(t)
-    d = distinguishing_number(rt)
-    chi = distinguishing_chromatic_number(rt)
-    cert = chi_certificate(rt)
+    d, chi, cert = parameters(rt)
     if chi not in (d, d + 1) or (cert is not None) != (chi == d + 1):
         raise AssertionError("internal inconsistency between parameters and certificate")
     base = t.base if rooted_input else t
@@ -123,7 +131,8 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
             "rooted_n": rt.n,
         }
     else:
-        ctr = sorted(base.labels[v] for v in center(t))
+        ctr = sorted(base.labels[v] for v in
+                     (rt.children[rt.root] if rt.subdivided else (rt.root,)))
         summary = {
             "n": base.n,
             "kind": "tree",
@@ -139,8 +148,8 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
         "certificate": _certificate_json(rt, cert),
     }
     if witness:
-        plain = construct_distinguishing_coloring(rt)
-        proper = construct_proper_distinguishing_coloring(rt)
+        plain = construct_distinguishing_coloring(rt, d)
+        proper = construct_proper_distinguishing_coloring(rt, chi)
         report["witness"] = {
             "distinguishing": _coloring_json(t, plain),
             "proper_distinguishing": _coloring_json(t, proper),
@@ -201,7 +210,7 @@ def cmd_analyze(args) -> int:
         paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         reports = []
         for p in paths:
-            t = parse_tree(p.read_text(encoding="utf-8"), args.format)
+            t = parse_tree(_read_input(str(p)), args.format)
             rep = _analyze_one(t, args.witness, args.counts)
             rep["file"] = p.name
             reports.append(rep)
@@ -241,8 +250,6 @@ def cmd_count(args) -> int:
         return EXIT_OK
     if args.k is None:
         raise TreeSyntaxError("count needs a palette size k (or --list FILE)")
-    if args.k < 1:
-        raise TreeSyntaxError("k must be a positive integer")
     table = CountTable(rt)
     if args.proper:
         print(args.k * table.proper_raw(rt.root, args.k))
@@ -356,9 +363,7 @@ def cmd_selftest(args) -> int:
     for n in range(2, min(max_n, 8) + 1):
         agree = True
         for t in families.nonisomorphic_trees(n):
-            d = distinguishing_number(t)
-            chi = distinguishing_chromatic_number(t)
-            cert = chi_certificate(t)
+            d, chi, cert = parameters(t)
             if (cert is not None) != (chi == d + 1):
                 agree = False
         check(f"certificate presence matches chi_D = D + 1 at n={n}", agree)
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--witness", action="store_true",
                    help="include witness colorings")
-    p.add_argument("--counts", type=int, metavar="K",
+    p.add_argument("--counts", type=_positive_int, metavar="K",
                    help="include exact class counts at palette size K")
     p.add_argument("--json", action="store_true")
     p.add_argument("--batch", metavar="DIR",
@@ -407,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact class counts")
     add_input(p)
-    p.add_argument("k", nargs="?", type=int, default=None)
+    p.add_argument("k", nargs="?", type=_positive_int, default=None)
     p.add_argument("--proper", action="store_true")
     p.add_argument("--list", metavar="FILE", help="list-assignment file")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("color", help="emit a witness coloring")
     add_input(p)
-    p.add_argument("k", nargs="?", type=int, default=None)
+    p.add_argument("k", nargs="?", type=_positive_int, default=None)
     p.add_argument("--proper", action="store_true")
     p.add_argument("--list", metavar="FILE")
     p.add_argument("--index", type=int, default=0,
@@ -440,13 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact counts are printed in full, however many digits they have
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _BOUND_ERRORS as exc:

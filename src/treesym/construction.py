@@ -97,44 +97,92 @@ def _least_positive_k(positive, start: int = 1, limit: int | None = None) -> int
     return hi
 
 
+def _saturating_table(t) -> CountTable:
+    # every saturated entry is at least n+1, more than any class size, so
+    # positivity and the certificate's pool comparisons stay exact
+    rt = _as_rooted(t)
+    return CountTable(rt, cap=rt.n + 1)
+
+
+def _search_d(table: CountTable) -> int:
+    rt = table.rt
+    return _least_positive_k(lambda k: table.distinguishing_raw(rt.root, k) > 0,
+                             start=rt.leaf_bound(), limit=2 * rt.n + 2)
+
+
+def _halves_rigid(table: CountTable) -> bool:
+    u, v = table.rt.children[table.rt.root]
+    return (table.distinguishing_raw(u, 1) == 1
+            and table.distinguishing_raw(v, 1) == 1)
+
+
+def _search_chi(table: CountTable, d: int) -> int:
+    # chi_D >= D; edge-centered trees where no nontrivial automorphism fixes
+    # both central endpoints are 2-colorable distinguishably, and all other
+    # edge-centered trees need at least 3 colors, at which point the
+    # subdivided reduction gives the exact answer
+    rt = table.rt
+    start = d
+    if rt.subdivided:
+        if _halves_rigid(table):
+            return 2
+        start = max(d, 3)
+    return _least_positive_k(lambda k: table.proper_raw(rt.root, k) > 0,
+                             start=start, limit=2 * rt.n + 2)
+
+
+def _certificate(table: CountTable, k: int) -> Certificate | None:
+    rt = table.rt
+    if rt.origin_count == 1:
+        return None
+    if k == 1:
+        return Certificate(rt.root, (), 1, degenerate=True)
+    if rt.subdivided and _halves_rigid(table):
+        return None
+    # a class of m siblings needs m distinct proper colorings of its
+    # representative, and only (k-1) * proper(rep, k) of them exist
+    row = table.proper_row(k)
+    _, mults = rt.class_structure()
+    short = [any((k - 1) * row[c] < m for c, m in mults[cid])
+             for cid in range(len(row))]
+    ids = rt.code_ids()
+    for v in rt.bfs_order:
+        if short[ids[v]]:
+            for cls in rt.sibling_classes(v):
+                if (k - 1) * row[cls.code_id] < cls.size:
+                    return Certificate(v, cls.members, k, degenerate=False)
+    return None
+
+
 def distinguishing_number(t) -> int:
     """Least k admitting a distinguishing k-coloring.
 
-    Uses saturating counts (cap n+1) and a doubling-plus-bisection search,
-    so it stays fast on large trees.
+    Uses saturating counts (cap n+1) and searches upward from the leaf
+    bound of :meth:`RootedTree.leaf_bound`, linearly and then by doubling
+    and bisection, so it stays fast on large trees.
     """
-    rt = _as_rooted(t)
-    table = CountTable(rt, cap=rt.n + 1)
-    return _least_positive_k(
-        lambda k: table.distinguishing_raw(rt.root, k) > 0, limit=2 * rt.n + 2
-    )
-
-
-def _halves_rigid(rt: RootedTree, table: CountTable) -> bool:
-    u, v = rt.children[rt.root]
-    return (table.distinguishing_raw(u, 1) == 1
-            and table.distinguishing_raw(v, 1) == 1)
+    return _search_d(_saturating_table(t))
 
 
 def distinguishing_chromatic_number(t) -> int:
     """Least k admitting a proper distinguishing k-coloring.
 
-    Edge-centered trees where no nontrivial automorphism fixes both central
-    endpoints are 2-colorable distinguishably; all other edge-centered
-    trees need at least 3 colors, at which point the subdivided reduction
-    gives the exact answer.
+    Searched upward from the distinguishing number on the same saturating
+    table.  Edge-centered trees where no nontrivial automorphism fixes both
+    central endpoints are 2-colorable distinguishably; all other
+    edge-centered trees need at least 3 colors.
     """
-    rt = _as_rooted(t)
-    table = CountTable(rt, cap=rt.n + 1)
+    table = _saturating_table(t)
+    return _search_chi(table, _search_d(table))
 
-    def positive(k: int) -> bool:
-        return table.proper_raw(rt.root, k) > 0
 
-    if not rt.subdivided:
-        return _least_positive_k(positive, limit=2 * rt.n + 2)
-    if _halves_rigid(rt, table):
-        return 2
-    return _least_positive_k(positive, start=3, limit=2 * rt.n + 2)
+def parameters(t) -> tuple:
+    """``(D, chi_D, certificate)``, as :func:`distinguishing_number`,
+    :func:`distinguishing_chromatic_number` and :func:`chi_certificate`
+    return them, from one saturating count table and one search for D."""
+    table = _saturating_table(t)
+    d = _search_d(table)
+    return d, _search_chi(table, d), _certificate(table, d)
 
 
 # -- subset rank/unrank ----------------------------------------------------
@@ -221,13 +269,12 @@ def unrank_proper_distinguishing(rt: RootedTree, k: int, root_color: int,
     k-colorings with the root colored ``root_color``."""
     if not 1 <= root_color <= k:
         raise ValueError(f"root color {root_color} outside 1..{k}")
-    return Coloring(_unrank_proper_from(rt, rt.root, k, root_color,
-                                        _exact_index(index)))
+    return Coloring(_unrank_proper_from(rt, CountTable(rt), rt.root, k,
+                                        root_color, _exact_index(index)))
 
 
-def _unrank_proper_from(rt: RootedTree, start: int, k: int, root_color: int,
-                        idx: int) -> dict:
-    table = CountTable(rt)
+def _unrank_proper_from(rt: RootedTree, table: CountTable, start: int, k: int,
+                        root_color: int, idx: int) -> dict:
     total = table.proper_raw(start, k)
     if not 0 <= idx < total:
         raise CountIndexError(f"index {idx} outside [0, {total})")
@@ -280,27 +327,13 @@ def chi_certificate(t) -> Certificate | None:
     With k the distinguishing number: a tree on at least two vertices with
     k = 1 gets the degenerate certificate; otherwise some vertex of the
     rooted reduction must own a sibling class larger than the pool of
-    proper colorings available to it, and that (vertex, class) pair is the
-    certificate.  Edge-centered trees whose halves are rigid are the
-    2-proper-colorable special case and never carry one.
+    proper colorings available to it, and the first such (vertex, class)
+    pair in BFS and class order is the certificate.  Edge-centered trees
+    whose halves are rigid are the 2-proper-colorable special case and
+    never carry one.
     """
-    rt = _as_rooted(t)
-    k = distinguishing_number(rt)
-    if rt.origin_count == 1:
-        return None
-    if k == 1:
-        return Certificate(rt.root, (), 1, degenerate=True)
-    table = CountTable(rt, cap=rt.n + 2)
-    if rt.subdivided and _halves_rigid(rt, table):
-        return None
-    for v in rt.bfs_order:
-        for cls in rt.sibling_classes(v):
-            # saturated counts exceed n+1 > class size, so the comparison
-            # below is exact either way
-            pool = (k - 1) * table.proper_raw(cls.representative, k)
-            if pool < cls.size:
-                return Certificate(v, cls.members, k, degenerate=False)
-    return None
+    table = _saturating_table(t)
+    return _certificate(table, _search_d(table))
 
 
 # -- whole-tree witnesses ----------------------------------------------------
@@ -317,33 +350,17 @@ def construct_distinguishing_coloring(t, k: int | None = None) -> Coloring:
     """A distinguishing k-coloring of the input tree (class representative
     at index 0 of the rooted reduction, synthetic vertex dropped)."""
     rt = _as_rooted(t)
-    needed = distinguishing_number(rt)
     if k is None:
-        k = needed
-    elif k < needed:
+        k = distinguishing_number(rt)
+    try:
+        coloring = unrank_distinguishing(rt, k, 0)
+    except CountIndexError:
+        # index 0 is out of range only when the count at k is zero
         raise NoColoringError(
-            f"no distinguishing {k}-coloring exists; need at least {needed} colors"
-        )
-    return _restrict_to_origin(rt, unrank_distinguishing(rt, k, 0))
-
-
-def _parity_coloring(rt: RootedTree) -> Coloring:
-    # proper 2-coloring of an edge-centered tree, synthetic vertex dropped;
-    # colors follow distance parity from one central endpoint
-    first = rt.children[rt.root][0]
-    side = bytearray(rt.n)
-    stack = [first]
-    while stack:
-        x = stack.pop()
-        side[x] = 1
-        stack.extend(rt.children[x])
-    out = {}
-    for v in range(rt.n):
-        if v == rt.subdivision_vertex:
-            continue
-        dist = rt.depth[v] - 1 if side[v] else rt.depth[v]
-        out[v] = 1 + dist % 2
-    return Coloring(out)
+            f"no distinguishing {k}-coloring exists;"
+            f" need at least {distinguishing_number(rt)} colors"
+        ) from None
+    return _restrict_to_origin(rt, coloring)
 
 
 def construct_proper_distinguishing_coloring(t, k: int | None = None,
@@ -353,28 +370,27 @@ def construct_proper_distinguishing_coloring(t, k: int | None = None,
     Vertex-centered (and plain rooted) trees take the index-th class with
     the root colored 1.  Edge-centered trees are colored half by half with
     the two central endpoints pinned to colors 1 and 2, indexing the pair
-    of half classes; their 2-colorable special case has one witness, the
-    distance-parity coloring.
+    of half classes; in their 2-colorable special case each half has one
+    class, so the one witness is the distance-parity coloring.
     """
     rt = _as_rooted(t)
-    needed = distinguishing_chromatic_number(rt)
     if k is None:
-        k = needed
-    elif k < needed:
-        raise NoColoringError(
-            f"no proper distinguishing {k}-coloring exists; need at least {needed} colors"
-        )
+        k = distinguishing_chromatic_number(rt)
     idx = _exact_index(index)
+    table = CountTable(rt)
     if not rt.subdivided:
-        return Coloring(_unrank_proper_from(rt, rt.root, k, 1, idx))
-    if k == 2:
-        if idx != 0:
-            raise CountIndexError("the 2-colorable edge-centered case has one witness")
-        return _parity_coloring(rt)
-    # gluing: the subdivided reduction must not be used here, because the
-    # two central endpoints are adjacent in the original tree
-    u, v = rt.children[rt.root]
-    right_total = CountTable(rt).proper_raw(v, k)
-    left = _unrank_proper_from(rt, u, k, 1, idx // right_total)
-    right = _unrank_proper_from(rt, v, k, 2, idx % right_total)
-    return Coloring({**left, **right})
+        if table.proper_raw(rt.root, k):
+            return Coloring(_unrank_proper_from(rt, table, rt.root, k, 1, idx))
+    else:
+        # gluing: the subdivided reduction must not be used here, because
+        # the two central endpoints are adjacent in the original tree
+        u, v = rt.children[rt.root]
+        right_total = table.proper_raw(v, k)
+        if k >= 2 and right_total and table.proper_raw(u, k):
+            left = _unrank_proper_from(rt, table, u, k, 1, idx // right_total)
+            right = _unrank_proper_from(rt, table, v, k, 2, idx % right_total)
+            return Coloring({**left, **right})
+    raise NoColoringError(
+        f"no proper distinguishing {k}-coloring exists;"
+        f" need at least {distinguishing_chromatic_number(rt)} colors"
+    )

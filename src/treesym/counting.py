@@ -63,28 +63,6 @@ def _cap_value(cap) -> int | None:
     return int(cap)
 
 
-def binomial(a, b: int) -> BigCount:
-    """C(a, b); zero when a < b, saturation-aware when ``a`` carries a cap."""
-    if b < 0:
-        raise ValueError("lower binomial argument must be nonnegative")
-    if isinstance(a, int):
-        if a < 0:
-            raise ValueError("upper binomial argument must be nonnegative")
-        return BigCount(comb(a, b) if a >= b else 0)
-    if not a.saturated:
-        v = comb(a.value, b) if a.value >= b else 0
-        return BigCount.clamp(v, a.cap)
-    if b == 0:
-        return BigCount.clamp(1, a.cap)
-    if b < a.cap:
-        # C(x, b) >= C(cap, b) >= cap for 1 <= b <= cap-1, so the result
-        # provably saturates
-        return BigCount(a.cap, True, a.cap)
-    raise SaturatedCountError(
-        f"cap {a.cap} too small to evaluate C(saturated, {b}) soundly"
-    )
-
-
 # -- clamped integer kernels ---------------------------------------------
 # Values are represented as min(true, icap).  The caller guarantees
 # icap > every class size it will ask about, which keeps clamping sound.
@@ -179,21 +157,22 @@ class CountTable:
             return BigCount(self.cap, True, self.cap)
         return BigCount(raw, False, self.cap)
 
-    def distinguishing_raw(self, v: int, k: int) -> int:
+    def _row(self, rows: dict, count_pass, k: int) -> list:
         k = self._check_k(k)
-        table = self._dist.get(k)
-        if table is None:
-            table = _distinguishing_pass(self.rt, k, self._icap)
-            self._dist[k] = table
-        return table[self.rt.code_id(v)]
+        row = rows.get(k)
+        if row is None:
+            row = rows[k] = count_pass(self.rt, k, self._icap)
+        return row
+
+    def proper_row(self, k: int) -> list:
+        """``proper(., k)`` raw values for every class, indexed by class id."""
+        return self._row(self._prop, _proper_pass, k)
+
+    def distinguishing_raw(self, v: int, k: int) -> int:
+        return self._row(self._dist, _distinguishing_pass, k)[self.rt.code_id(v)]
 
     def proper_raw(self, v: int, k: int) -> int:
-        k = self._check_k(k)
-        table = self._prop.get(k)
-        if table is None:
-            table = _proper_pass(self.rt, k, self._icap)
-            self._prop[k] = table
-        return table[self.rt.code_id(v)]
+        return self.proper_row(k)[self.rt.code_id(v)]
 
     def distinguishing(self, v: int, k: int) -> BigCount:
         return self._finish(self.distinguishing_raw(v, k))

@@ -129,7 +129,7 @@ def _matchable(codes, avail_sets) -> list | None:
     return assign if place(0) else None
 
 
-def _class_selections(members, avail, class_cap: int) -> list:
+def _class_selections(members, avail) -> list:
     """All valid code sets for one sibling class: size-m subsets of the
     union of the members' representative codes that match perfectly onto
     the members."""
@@ -148,8 +148,7 @@ def _class_selections(members, avail, class_cap: int) -> list:
     return out
 
 
-def _combine(rt: RootedTree, v: int, colors, class_data, class_cap: int,
-             witnesses: bool) -> dict:
+def _combine(v: int, colors, class_data, class_cap: int, witnesses: bool) -> dict:
     """Representative set at ``v`` from per-class valid selections."""
     predicted = len(colors)
     for selections, _, _ in class_data:
@@ -186,10 +185,9 @@ def _rep_sets(rt: RootedTree, assignment: ListAssignment, class_cap: int,
         class_data = []
         for cls in rt.sibling_classes(v):
             member_sets = [sets[m] for m in cls.members]
-            selections = _class_selections(cls.members, member_sets, class_cap)
+            selections = _class_selections(cls.members, member_sets)
             class_data.append((selections, cls.members, member_sets))
-        sets[v] = _combine(rt, v, assignment.get(v), class_data, class_cap,
-                           witnesses)
+        sets[v] = _combine(v, assignment.get(v), class_data, class_cap, witnesses)
     return sets
 
 
@@ -211,9 +209,9 @@ def _proper_rep_sets(rt: RootedTree, assignment: ListAssignment, class_cap: int,
                         if c2 != color:
                             pool.update(sets[(m, c2)])
                     member_sets.append(pool)
-                selections = _class_selections(cls.members, member_sets, class_cap)
+                selections = _class_selections(cls.members, member_sets)
                 class_data.append((selections, cls.members, member_sets))
-            sets[(v, color)] = _combine(rt, v, [color], class_data, class_cap,
+            sets[(v, color)] = _combine(v, [color], class_data, class_cap,
                                         witnesses)
     return sets
 

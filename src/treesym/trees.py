@@ -17,7 +17,10 @@ SYNTHETIC_CENTER_LABEL = "⟨center⟩"
 
 
 class Tree:
-    """Immutable unrooted tree; ``labels[i]`` names vertex id ``i``."""
+    """Immutable unrooted tree; ``labels[i]`` names vertex id ``i``.
+
+    The constructor is the one place where trees are validated.
+    """
 
     def __init__(self, labels, edges):
         self.labels = tuple(str(s) for s in labels)
@@ -26,7 +29,9 @@ class Tree:
             raise InvalidTreeError("empty input: a tree needs at least one vertex")
         if len(set(self.labels)) != n:
             raise InvalidTreeError("vertex labels must be unique")
-        seen = set()
+        # union-find: an edge inside one component closes a cycle, and an
+        # acyclic edge set spans all n vertices iff it has n-1 edges
+        uf = list(range(n))
         norm = []
         for u, v in edges:
             u, v = int(u), int(v)
@@ -34,38 +39,22 @@ class Tree:
                 raise InvalidTreeError(f"edge ({u},{v}) references unknown vertex ids")
             if u == v:
                 raise InvalidTreeError(f"self-loop at {self.labels[u]!r}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise InvalidTreeError(
-                    f"duplicate edge {self.labels[u]!r} {self.labels[v]!r}"
-                )
-            seen.add((u, v))
-            norm.append((u, v))
+            a, b = _uf_find(uf, u), _uf_find(uf, v)
+            key = (u, v) if u < v else (v, u)
+            if a == b:
+                what = "duplicate edge" if key in norm else "cycle detected at edge"
+                raise InvalidTreeError(f"{what} {self.labels[u]!r} {self.labels[v]!r}")
+            uf[a] = b
+            norm.append(key)
+        if len(norm) < n - 1:
+            r0 = _uf_find(uf, 0)
+            w = next(x for x in range(1, n) if _uf_find(uf, x) != r0)
+            raise InvalidTreeError(
+                f"disconnected input: no path between {self.labels[0]!r}"
+                f" and {self.labels[w]!r}"
+            )
         self.edges = tuple(norm)
-        if len(self.edges) > n - 1:
-            raise InvalidTreeError("cycle detected: too many edges")
-        if len(self.edges) < n - 1:
-            raise InvalidTreeError("disconnected input: too few edges")
         self._build_csr()
-        # n-1 edges plus full reachability rules out both cycles and splits
-        if n > 1:
-            off, flat = self._adj_off, self._adj_flat
-            seen_v = bytearray(n)
-            seen_v[0] = 1
-            stack = [0]
-            reached = 1
-            while stack:
-                x = stack.pop()
-                for j in range(off[x], off[x + 1]):
-                    y = flat[j]
-                    if not seen_v[y]:
-                        seen_v[y] = 1
-                        reached += 1
-                        stack.append(y)
-            if reached != n:
-                raise InvalidTreeError("disconnected input")
-        self._adjacency: tuple | None = None
         self._ids: dict | None = None
         self._rooted: "RootedTree | None" = None
 
@@ -95,7 +84,6 @@ class Tree:
         t.labels = labels
         t.edges = tuple(edges)
         t._build_csr()
-        t._adjacency = None
         t._ids = None
         t._rooted = None
         return t
@@ -109,17 +97,6 @@ class Tree:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def adjacency(self) -> tuple:
-        """Neighbor tuples per vertex id, in ascending order."""
-        if self._adjacency is None:
-            off, flat = self._adj_off, self._adj_flat
-            self._adjacency = tuple(
-                tuple(sorted(flat[off[v]:off[v + 1]]))
-                for v in range(len(self.labels))
-            )
-        return self._adjacency
 
     def degree(self, v: int) -> int:
         return self._adj_off[v + 1] - self._adj_off[v]
@@ -137,6 +114,14 @@ class Tree:
 
     def __repr__(self):
         return f"Tree(n={self.n})"
+
+
+def _uf_find(uf: list, x: int) -> int:
+    # union-find root of x, halving the path on the way
+    while uf[x] != x:
+        uf[x] = uf[uf[x]]
+        x = uf[x]
+    return x
 
 
 def center(t: Tree) -> frozenset:
@@ -173,28 +158,47 @@ class RootedTree:
     vertices keep their ids; the synthetic vertex gets the last id.
     """
 
-    def __init__(self, base: Tree, root: int, subdivided: bool = False,
-                 subdivision_vertex: int | None = None,
-                 origin_count: int | None = None):
-        if subdivided != (subdivision_vertex is not None):
-            raise InvalidTreeError("subdivision flag inconsistent with subdivision vertex")
+    def __init__(self, base: Tree, root: int):
+        root = int(root)
+        if not 0 <= root < base.n:
+            raise InvalidTreeError(f"root id {root} out of range")
         self._base = base
         self._pending_base = None
-        self.root = int(root)
-        self.subdivided = bool(subdivided)
-        self.subdivision_vertex = subdivision_vertex
-        self.origin_count = base.n if origin_count is None else int(origin_count)
-        n = base.n
-        if not 0 <= self.root < n:
-            raise InvalidTreeError(f"root id {root} out of range")
+        self.subdivided = False
+        self.subdivision_vertex = None
+        self.origin_count = base.n
+        self._grow(base, root, ())
+
+    @classmethod
+    def _subdividing(cls, t: Tree, u: int, v: int, label: str) -> "RootedTree":
+        # rooted view of t with the edge (u, v) split by a synthetic root;
+        # the subdivided base tree itself is materialized only on demand
+        rt = object.__new__(cls)
+        rt._base = None
+        rt._pending_base = (t, label)
+        rt.subdivided = True
+        rt.subdivision_vertex = t.n
+        rt.origin_count = t.n
+        rt._grow(t, t.n, (u, v))
+        return rt
+
+    def _grow(self, t: Tree, root: int, halves: tuple):
+        # BFS over t's adjacency from ``root``; a synthetic root (id t.n)
+        # has no adjacency of its own and gets ``halves`` as its children
+        n = t.n + (1 if halves else 0)
         parent = [-1] * n
         depth = [0] * n
         span = [0] * (2 * n)
-        order = [self.root]
+        order = [root, *halves]
         seen = bytearray(n)
-        seen[self.root] = 1
-        i = 0
-        off, flat = base._adj_off, base._adj_flat
+        seen[root] = 1
+        for w in halves:
+            seen[w] = 1
+            parent[w] = root
+            depth[w] = 1
+        span[2 * root], span[2 * root + 1] = 1, len(order)
+        off, flat = t._adj_off, t._adj_flat
+        i = 1 if halves else 0
         while i < len(order):
             v = order[i]
             i += 1
@@ -207,67 +211,17 @@ class RootedTree:
                     depth[w] = dv
                     order.append(w)
             span[2 * v + 1] = len(order)
+        self.root = root
         self.parent = tuple(parent)
         self.depth = tuple(depth)
         self.bfs_order = tuple(order)
         self._child_span = span
-        r = self.root
-        if self.subdivided and (self.subdivision_vertex != r
-                                or span[2 * r + 1] - span[2 * r] != 2):
-            raise InvalidTreeError("subdivision vertex must be the root covering one edge")
-        self._init_caches()
-
-    def _init_caches(self):
         self._children: tuple | None = None
         self._code_ids: tuple | None = None
         self._strings: dict | None = None
         self._ranks: dict | None = None
         self._sizes: tuple | None = None
         self._class_structure: tuple | None = None
-
-    @classmethod
-    def _subdividing(cls, t: Tree, u: int, v: int, label: str) -> "RootedTree":
-        # rooted view of t with the edge (u, v) split by a synthetic root;
-        # the subdivided base tree itself is materialized only on demand
-        rt = object.__new__(cls)
-        x = t.n
-        n = x + 1
-        rt._base = None
-        rt._pending_base = (t, label)
-        rt.root = x
-        rt.subdivided = True
-        rt.subdivision_vertex = x
-        rt.origin_count = t.n
-        parent = [-1] * n
-        depth = [0] * n
-        span = [0] * (2 * n)
-        parent[u] = x
-        parent[v] = x
-        depth[u] = depth[v] = 1
-        span[2 * x], span[2 * x + 1] = 1, 3
-        order = [x, u, v]
-        seen = bytearray(n)
-        seen[x] = seen[u] = seen[v] = 1
-        off, flat = t._adj_off, t._adj_flat
-        i = 1
-        while i < len(order):
-            y = order[i]
-            i += 1
-            span[2 * y] = len(order)
-            dy = depth[y] + 1
-            for w in flat[off[y]:off[y + 1]]:
-                if not seen[w]:
-                    seen[w] = 1
-                    parent[w] = y
-                    depth[w] = dy
-                    order.append(w)
-            span[2 * y + 1] = len(order)
-        rt.parent = tuple(parent)
-        rt.depth = tuple(depth)
-        rt.bfs_order = tuple(order)
-        rt._child_span = span
-        rt._init_caches()
-        return rt
 
     @property
     def children(self) -> tuple:
@@ -335,6 +289,7 @@ class RootedTree:
             ids = [0] * self.n
             table: dict = {(): 0}
             mults: list = [()]
+            leaves = 1
             pending: list = [None] * self.n
             for v in reversed(self.bfs_order):
                 kc = pending[v]
@@ -349,6 +304,7 @@ class RootedTree:
                         for cc in kc:
                             counts[cc] = counts.get(cc, 0) + 1
                         mults.append(tuple(counts.items()))
+                        leaves = max(leaves, counts.get(0, 0))
                     ids[v] = cid
                 p = parent[v]
                 if p >= 0:
@@ -359,7 +315,17 @@ class RootedTree:
                         kcp.append(ids[v])
             self._code_ids = tuple(ids)
             self._class_structure = (tuple(range(len(mults))), tuple(mults))
+            self._leaf_bound = leaves
         return self._code_ids
+
+    def leaf_bound(self) -> int:
+        """Largest number of leaf children of any vertex, and at least 1.
+
+        A lower bound on the distinguishing number, because m sibling
+        leaves need m distinct colors.  Found while interning classes.
+        """
+        self.code_ids()
+        return self._leaf_bound
 
     def code_id(self, v: int) -> int:
         return self.code_ids()[v]
@@ -425,20 +391,6 @@ class RootedTree:
 
 
 @dataclass(frozen=True)
-class CanonicalCode:
-    """Balanced-parenthesis invariant of a rooted subtree.
-
-    Equal codes mean isomorphic rooted subtrees; the string has length
-    twice the subtree's vertex count.
-    """
-
-    code: str
-
-    def __len__(self):
-        return len(self.code)
-
-
-@dataclass(frozen=True)
 class ChildClass:
     members: tuple
     representative: int
@@ -449,25 +401,15 @@ class ChildClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ChildClasses:
-    """Ordered sibling-class partitions for every vertex of a rooted tree."""
+def canonical_code(rt: RootedTree, v: int) -> str:
+    """Canonical balanced-parenthesis code of the subtree rooted at ``v``.
 
-    classes: dict
-
-    def at(self, v: int) -> tuple:
-        return self.classes[v]
-
-
-def canonical_code(rt: RootedTree, v: int) -> CanonicalCode:
-    """Canonical code of the subtree rooted at ``v``."""
+    Equal codes mean isomorphic rooted subtrees; the string has length
+    twice the subtree's vertex count.
+    """
     if not 0 <= v < rt.n:
         raise InvalidTreeError(f"vertex id {v} out of range")
-    return CanonicalCode(rt._class_strings()[rt.code_id(v)])
-
-
-def child_classes(rt: RootedTree) -> ChildClasses:
-    return ChildClasses({v: rt.sibling_classes(v) for v in rt.bfs_order})
+    return rt._class_strings()[rt.code_id(v)]
 
 
 def to_rooted(t: Tree) -> RootedTree:
@@ -556,51 +498,21 @@ def parse_tree(text: str, fmt: str = "edge-list"):
 
 
 def _parse_edge_list(text: str) -> Tree:
+    # tokenizing only: the Tree constructor checks the structure
     labels: dict = {}
-    uf: list = []
-
-    def intern(s: str) -> int:
-        i = labels.get(s)
-        if i is None:
-            i = len(labels)
-            labels[s] = i
-            uf.append(i)
-        return i
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
     edges = []
-    edge_set = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) == 1:
-            intern(parts[0])
-            continue
-        if len(parts) != 2:
+        if len(parts) > 2:
             raise TreeSyntaxError(
                 f"line {lineno}: expected two whitespace-separated labels, got {len(parts)}"
             )
-        u, v = intern(parts[0]), intern(parts[1])
-        if u == v:
-            raise InvalidTreeError(f"line {lineno}: self-loop at {parts[0]!r}")
-        key = (u, v) if u < v else (v, u)
-        if key in edge_set:
-            raise InvalidTreeError(f"line {lineno}: duplicate edge {parts[0]!r} {parts[1]!r}")
-        edge_set.add(key)
-        if find(u) == find(v):
-            raise InvalidTreeError(f"line {lineno}: cycle detected")
-        uf[find(u)] = find(v)
-        edges.append(key)
-    if not labels:
-        raise InvalidTreeError("empty input")
-    return Tree(list(labels), edges)
+        ids = [labels.setdefault(s, len(labels)) for s in parts]
+        if len(ids) == 2:
+            edges.append(ids)
+    return Tree(labels, edges)
 
 
 def _parse_parens(text: str) -> RootedTree:
@@ -629,8 +541,6 @@ def _parse_parens(text: str) -> RootedTree:
             raise TreeSyntaxError(f"position {pos}: unexpected character {ch!r}")
     if stack:
         raise TreeSyntaxError("unbalanced input: missing ')'")
-    if root is None:
-        raise InvalidTreeError("empty input")
     return RootedTree(Tree(labels, edges), root)
 
 

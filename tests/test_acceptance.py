@@ -76,7 +76,9 @@ def test_criterion_2_parameter_equivalence():
     trees = list(all_trees(9))
     assert sum(1 for t in trees if t.n == 9) >= 47
     for t in trees:
-        assert distinguishing_number(t) == brute_distinguishing_number(t)
+        d = brute_distinguishing_number(t)
+        assert to_rooted(t).leaf_bound() <= d
+        assert distinguishing_number(t) == d
         assert (distinguishing_chromatic_number(t)
                 == brute_chromatic_distinguishing_number(t))
     elapsed = time.perf_counter() - start

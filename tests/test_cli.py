@@ -234,3 +234,50 @@ def test_selftest():
     out = run_cli("selftest", "--max-n", "5")
     assert out.returncode == 0
     assert "selftest: PASS" in out.stdout
+
+
+@pytest.mark.parametrize("case", ["counts-zero", "not-utf8", "directory",
+                                  "batch-not-utf8", "bom"])
+def test_input_handling(tmp_path, case):
+    tree = tmp_path / "t.txt"
+    tree.write_bytes(P4.encode())
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    if case == "counts-zero":
+        argv = ["analyze", str(tree), "--counts", "0"]
+    elif case == "not-utf8":
+        tree.write_bytes(b"a b\n\xff c\n")
+        argv = ["analyze", str(tree)]
+    elif case == "directory":
+        argv = ["analyze", str(batch)]
+    elif case == "batch-not-utf8":
+        (batch / "a.txt").write_bytes(P4.encode())
+        (batch / "b.txt").write_bytes(b"\xfe\xff")
+        argv = ["analyze", "--batch", str(batch)]
+    else:
+        tree.write_bytes(("\ufeff" + P4).encode())
+        argv = ["color", str(tree)]
+    out = run_cli(*argv)
+    assert "Traceback" not in out.stderr
+    if case == "bom":
+        # one leading byte-order mark is not part of the first label
+        assert out.returncode == 0
+        assert {line.split()[0] for line in out.stdout.splitlines()} == set("abcd")
+    else:
+        assert out.returncode == 2
+        assert "error:" in out.stderr
+
+
+def test_counts_past_str_digit_limit(tmp_path):
+    # P_10001 at k=3 has 3 * C(3**5000, 2) classes, 4772 digits
+    tree = tmp_path / "p10001.txt"
+    tree.write_text("".join(f"v{i} v{i + 1}\n" for i in range(10_000)))
+    expected = 3 * (3 ** 5000) * (3 ** 5000 - 1) // 2
+    out = run_cli("count", str(tree), "3")
+    assert out.returncode == 0
+    report = json.loads(run_cli("analyze", str(tree), "--json", "--counts", "3").stdout)
+    for got in (out.stdout.strip(), report["counts"]["distinguishing_classes"]):
+        # compared piecewise: this process keeps the default str-digit limit
+        assert len(got) == 4772
+        assert int(got[:40]) == expected // 10 ** (4772 - 40)
+        assert int(got[-40:]) == expected % 10 ** 40

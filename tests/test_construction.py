@@ -23,6 +23,9 @@ from treesym import (
     unrank_distinguishing,
     unrank_proper_distinguishing,
 )
+from treesym import counting
+from treesym.construction import parameters
+from treesym.cli import _analyze_one
 from treesym.errors import (
     CountIndexError,
     NoColoringError,
@@ -35,6 +38,7 @@ from treesym.families import (
     double_star,
     nonisomorphic_rooted_trees,
     path,
+    random_tree,
     single_vertex,
     star,
 )
@@ -70,6 +74,30 @@ def test_parameters_accept_rooted_input():
     rt = to_rooted(star(3))
     assert distinguishing_number(rt) == 3
     assert distinguishing_chromatic_number(rt) == 4
+
+
+def test_parameter_search_pass_counts(monkeypatch):
+    passes = []
+    for name in ("_distinguishing_pass", "_proper_pass"):
+        real = getattr(counting, name)
+
+        def counted(*args, _real=real, _name=name):
+            passes.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(counting, name, counted)
+    # the criterion-8 trees: the leaf bound is D, so one pass finds it
+    for n, d in ((10_000, 5), (100_000, 6)):
+        t = random_tree(n, seed="acceptance-perf")
+        assert to_rooted(t).leaf_bound() == d
+        passes.clear()
+        assert distinguishing_number(t) == d
+        assert passes == ["_distinguishing_pass"]
+    # D, chi_D and the certificate share one table
+    t = random_tree(10_000, seed="pass-count")
+    passes.clear()
+    _analyze_one(t, witness=False, counts_k=None)
+    assert 1 <= len(passes) <= 4
 
 
 # -- unrank / rank ----------------------------------------------------------------
@@ -232,6 +260,7 @@ def test_certificate_matches_parameters_small():
         assert chi in (d, d + 1)
         cert = chi_certificate(t)
         assert (cert is not None) == (chi == d + 1)
+        assert parameters(t) == (d, chi, cert)
         if cert is not None and not cert.degenerate:
             rt = to_rooted(t)
             members = cert.children

@@ -4,13 +4,11 @@ from treesym import (
     BigCount,
     CountTable,
     Tree,
-    binomial,
     brute_count_classes,
     count_distinguishing,
     count_proper_distinguishing,
     to_rooted,
 )
-from treesym.errors import SaturatedCountError
 from treesym.families import (
     all_trees_up_to,
     nonisomorphic_rooted_trees,
@@ -42,31 +40,6 @@ def test_bigcount_clamp():
     assert BigCount.clamp(3, 10) == BigCount(3, False, 10)
     assert BigCount.clamp(10, 10) == BigCount(10, True, 10)
     assert BigCount.clamp(123) == BigCount(123)
-
-
-# -- binomial ------------------------------------------------------------------
-
-def test_binomial_plain():
-    assert binomial(5, 2).value == 10
-    assert binomial(3, 5).value == 0
-    assert binomial(0, 0).value == 1
-    for x in (0, 1, 7, 1000):
-        assert binomial(x, 0).value == 1
-
-
-def test_binomial_saturation():
-    sat = BigCount(10, True, 10)
-    out = binomial(sat, 3)
-    assert out.saturated and out.value == 10
-    assert binomial(sat, 0) == BigCount(1, False, 10)
-    with pytest.raises(SaturatedCountError):
-        binomial(sat, 10)
-
-
-def test_binomial_capped_exact():
-    a = BigCount(6, False, 100)
-    assert binomial(a, 2) == BigCount(15, False, 100)
-    assert binomial(a, 4).value == 15
 
 
 # -- plain counts ----------------------------------------------------------------
