@@ -54,6 +54,7 @@ from .trees import (
     Tree,
     canonical_code,
     center,
+    distinguishes,
     extract_subtree,
     original_tree,
     parse_tree,

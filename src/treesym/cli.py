@@ -10,6 +10,7 @@ out of range.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -44,7 +45,7 @@ from .list_coloring import (
     count_proper_list_distinguishing,
     parse_list_file,
 )
-from .trees import RootedTree, parse_tree, to_rooted
+from .trees import RootedTree, distinguishes, parse_tree, to_rooted
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -113,6 +114,28 @@ def _certificate_json(rt: RootedTree, cert) -> dict | None:
     }
 
 
+def _class_counts(rt: RootedTree, k: int) -> tuple:
+    """Exact class counts of distinguishing and of proper distinguishing
+    k-colorings of the input tree.
+
+    An edge-centered tree's counts are glued from its two halves u and v
+    instead of read off the subdivided reduction: the synthetic root's k
+    free colors multiply the plain count by k, and the reduction lets u and
+    v share a color although they are adjacent.  Properly colored halves
+    always differ at u and v, so swapping isomorphic halves pairs up the
+    proper classes without fixing any.
+    """
+    table = CountTable(rt)
+    if not rt.subdivided:
+        return (table.distinguishing_raw(rt.root, k),
+                k * table.proper_raw(rt.root, k))
+    u, v = rt.children[rt.root]
+    proper = k * (k - 1) * table.proper_raw(u, k) * table.proper_raw(v, k)
+    if rt.code_id(u) == rt.code_id(v):
+        proper //= 2
+    return table.distinguishing_raw(rt.root, k) // k, proper
+
+
 def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
     start = time.perf_counter()
     rooted_input = isinstance(t, RootedTree)
@@ -155,13 +178,11 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
             "proper_distinguishing": _coloring_json(t, proper),
         }
     if counts_k is not None:
-        table = CountTable(rt)
-        dk = table.distinguishing_raw(rt.root, counts_k)
-        pk = table.proper_raw(rt.root, counts_k)
+        dk, pk = _class_counts(rt, counts_k)
         report["counts"] = {
             "k": counts_k,
             "distinguishing_classes": str(dk),
-            "proper_distinguishing_classes": str(counts_k * pk),
+            "proper_distinguishing_classes": str(pk),
         }
     report["timing_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     return report
@@ -210,7 +231,12 @@ def cmd_analyze(args) -> int:
         paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         reports = []
         for p in paths:
-            t = parse_tree(_read_input(str(p)), args.format)
+            try:
+                t = parse_tree(_read_input(str(p)), args.format)
+            except _INPUT_ERRORS as exc:
+                print(f"error: {p.name}: {exc}", file=sys.stderr)
+                reports.append({"file": p.name, "error": str(exc)})
+                continue
             rep = _analyze_one(t, args.witness, args.counts)
             rep["file"] = p.name
             reports.append(rep)
@@ -219,8 +245,11 @@ def cmd_analyze(args) -> int:
         else:
             for rep in reports:
                 print(f"== {rep['file']} ==")
-                _print_report(rep, False)
-        return EXIT_OK
+                if "error" in rep:
+                    print(f"error: {rep['error']}")
+                else:
+                    _print_report(rep, False)
+        return EXIT_INPUT if any("error" in rep for rep in reports) else EXIT_OK
     t = _load_tree(args)
     _print_report(_analyze_one(t, args.witness, args.counts), args.json)
     return EXIT_OK
@@ -250,11 +279,8 @@ def cmd_count(args) -> int:
         return EXIT_OK
     if args.k is None:
         raise TreeSyntaxError("count needs a palette size k (or --list FILE)")
-    table = CountTable(rt)
-    if args.proper:
-        print(args.k * table.proper_raw(rt.root, args.k))
-    else:
-        print(table.distinguishing_raw(rt.root, args.k))
+    plain, proper = _class_counts(rt, args.k)
+    print(proper if args.proper else plain)
     return EXIT_OK
 
 
@@ -315,6 +341,8 @@ def _read_coloring_file(text: str, t) -> Coloring:
             v = base.vertex_id(parts[0])
         except KeyError:
             raise ListFormatError(f"line {lineno}: unknown vertex label {parts[0]!r}") from None
+        if v in out:
+            raise ListFormatError(f"line {lineno}: repeated vertex {parts[0]!r}")
         try:
             out[v] = _parse_color(parts[1])
         except ValueError:
@@ -331,7 +359,7 @@ def cmd_verify(args) -> int:
     problems = []
     if args.proper and not oracle.is_proper(t, coloring):
         problems.append("not proper")
-    if not oracle.is_distinguishing(t, coloring):
+    if not distinguishes(t, coloring):
         problems.append("preserved by a nontrivial automorphism")
     if problems:
         print("FAIL: " + "; ".join(problems))
@@ -381,6 +409,17 @@ def cmd_selftest(args) -> int:
                         != oracle.brute_count_classes(rt, k, proper=True).value):
                     agree = False
         check(f"counts match exhaustive enumeration at n={n}", agree)
+
+    top = min(max_n, 7)
+    agree = True
+    for n in range(1, top + 1):
+        for t in families.nonisomorphic_trees(n):
+            for colors in itertools.product((1, 2), repeat=n):
+                coloring = dict(enumerate(colors))
+                if distinguishes(t, coloring) != oracle.is_distinguishing(t, coloring):
+                    agree = False
+    check(f"verify matches the automorphism group on all 2-colorings up to n={top}",
+          agree)
 
     print(f"selftest: {'PASS' if failures == 0 else f'{failures} FAILURES'}")
     return EXIT_OK if failures == 0 else EXIT_FAIL

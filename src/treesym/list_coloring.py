@@ -17,8 +17,14 @@ from math import comb
 from .construction import Coloring
 from .counting import BigCount
 from .errors import ClassCapError, ListFormatError
-from .oracle import is_distinguishing, is_proper
-from .trees import RootedTree, Tree, original_tree, to_rooted, vertex_orbits
+from .oracle import is_proper
+from .trees import (
+    RootedTree,
+    distinguishes,
+    original_tree,
+    to_rooted,
+    vertex_orbits,
+)
 
 DEFAULT_CLASS_CAP = 100_000
 _COMBINATION_LIMIT = 2_000_000
@@ -314,7 +320,7 @@ def construct_list_distinguishing_coloring(
             return None
         witness = root_set[min(root_set)]
         coloring = _strip_synthetic(rt, witness)
-        if not is_distinguishing(verify_on, coloring):
+        if not distinguishes(verify_on, coloring):
             raise AssertionError("constructed coloring failed verification")
         return coloring
 
@@ -354,5 +360,5 @@ def _strip_synthetic(rt: RootedTree, witness: dict) -> Coloring:
 
 
 def _verify_proper(t, coloring: Coloring):
-    if not is_proper(t, coloring) or not is_distinguishing(t, coloring):
+    if not is_proper(t, coloring) or not distinguishes(t, coloring):
         raise AssertionError("constructed coloring failed verification")

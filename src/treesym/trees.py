@@ -481,6 +481,40 @@ def vertex_orbits(rt: RootedTree) -> tuple:
     return tuple(orbit)
 
 
+_SYNTHETIC_COLOR = object()
+
+
+def distinguishes(t, coloring) -> bool:
+    """Whether no nontrivial automorphism preserves every color.
+
+    A :class:`Tree` is judged under its full automorphism group and a
+    :class:`RootedTree` under its root-preserving group.  Every automorphism
+    of a tree fixes its center, so the coloring distinguishes exactly when
+    no vertex of the center-rooted reduction has two children whose colored
+    subtrees are isomorphic.  One bottom-up pass interns each vertex as its
+    color with the sorted colored ids of its children: O(n log n), with no
+    group enumeration.  A vertex missing from the coloring is a ValueError.
+    """
+    rt = t if isinstance(t, RootedTree) else to_rooted(t)
+    colors = getattr(coloring, "colors", coloring)
+    for v in range(t.n):
+        if v not in colors:
+            raise ValueError(f"coloring misses vertex {v}")
+    # the synthetic root of an unrooted tree's reduction carries no color,
+    # and its key can equal no real vertex's key
+    synthetic = rt.subdivision_vertex if rt is not t else None
+    order, span = rt.bfs_order, rt._child_span
+    ids = [0] * rt.n
+    table: dict = {}
+    for v in reversed(order):
+        kids = tuple(sorted([ids[c] for c in order[span[2 * v]:span[2 * v + 1]]]))
+        if len(set(kids)) < len(kids):
+            return False
+        key = (_SYNTHETIC_COLOR if v == synthetic else colors[v], kids)
+        ids[v] = table.setdefault(key, len(table))
+    return True
+
+
 # -- parsing and serialisation ------------------------------------------
 
 

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from treesym import brute_count_classes, cli, to_edge_list, to_rooted
+from treesym.families import all_trees_up_to, path, random_tree, star
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -15,6 +18,13 @@ def run_cli(*args, stdin=""):
         [sys.executable, "-m", "treesym", *args],
         input=stdin, capture_output=True, text=True, env=env,
     )
+
+
+def run_in_process(*argv):
+    # the subcommand alone: main() would also lift this process's
+    # int-to-string digit limit
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
 
 
 K13 = "hub a\nhub b\nhub c\n"
@@ -98,6 +108,34 @@ def test_count_examples(k13_file, tmp_path):
     assert run_cli("count", str(leaf), "7").stdout.strip() == "7"
 
 
+def test_count_edge_centered(p4_file):
+    # counts of P4 itself, not of its subdivided reduction (108 and 0)
+    assert run_cli("count", p4_file, "3").stdout.strip() == "36"
+    assert run_cli("count", p4_file, "2", "--proper").stdout.strip() == "1"
+    report = json.loads(run_cli("analyze", p4_file, "--json", "--counts", "3").stdout)
+    assert report["counts"]["distinguishing_classes"] == "36"
+    assert report["counts"]["proper_distinguishing_classes"] == "12"
+
+
+def test_edge_centered_counts_match_brute_force(tmp_path, capsys):
+    for t in all_trees_up_to(8):
+        if not to_rooted(t).subdivided:
+            continue
+        tree = tmp_path / "t.txt"
+        tree.write_text(to_edge_list(t))
+        for k in (2, 3):
+            want = [brute_count_classes(t, k).value,
+                    brute_count_classes(t, k, proper=True).value]
+            assert run_in_process("count", str(tree), str(k)) == 0
+            assert run_in_process("count", str(tree), str(k), "--proper") == 0
+            assert run_in_process("analyze", str(tree), "--json", "--counts", str(k)) == 0
+            plain, proper, line = capsys.readouterr().out.splitlines()
+            counts = json.loads(line)["counts"]
+            assert [int(plain), int(proper)] == want
+            assert [int(counts["distinguishing_classes"]),
+                    int(counts["proper_distinguishing_classes"])] == want
+
+
 def test_count_requires_k(p4_file):
     out = run_cli("count", p4_file)
     assert out.returncode == 2
@@ -135,6 +173,40 @@ def test_verify_proper_flag(p4_file, tmp_path):
     out = run_cli("verify", p4_file, str(col_file), "--proper")
     assert out.returncode == 1
     assert "not proper" in out.stdout
+
+
+def test_verify_repeated_vertex_exit_2(k13_file, tmp_path):
+    col_file = tmp_path / "col.txt"
+    col_file.write_text("hub 1\na 1\nb 2\nc 3\na 2\n")
+    out = run_cli("verify", k13_file, str(col_file))
+    assert out.returncode == 2
+    assert "line 5: repeated vertex 'a'" in out.stderr
+
+
+@pytest.mark.parametrize("shape", ["star-10", "prufer-2000"])
+def test_verify_past_group_bound(tmp_path, shape):
+    # both groups have more than 10**6 elements; verify never enumerates them
+    t = star(10) if shape == "star-10" else random_tree(2000, seed="verify")
+    tree = tmp_path / "t.txt"
+    tree.write_text(to_edge_list(t))
+    colored = run_cli("color", str(tree))
+    assert colored.returncode == 0
+    col_file = tmp_path / "col.txt"
+    col_file.write_text(colored.stdout)
+    out = run_cli("verify", str(tree), str(col_file))
+    assert out.returncode == 0
+    assert out.stdout.startswith("PASS")
+    # two leaves of one parent that share a color can be swapped
+    rt = to_rooted(t)
+    a, b = next(leaves[:2] for leaves in
+                ([c for c in kids if not rt.children[c]] for kids in rt.children)
+                if len(leaves) >= 2)
+    colors = dict(line.split() for line in colored.stdout.splitlines())
+    colors[t.labels[b]] = colors[t.labels[a]]
+    col_file.write_text("".join(f"{v} {c}\n" for v, c in colors.items()))
+    out = run_cli("verify", str(tree), str(col_file))
+    assert out.returncode == 1
+    assert out.stdout.startswith("FAIL")
 
 
 def test_color_proper_star_renders(k13_file):
@@ -205,6 +277,25 @@ def test_batch_ordering(tmp_path):
     reports = json.loads(out.stdout)
     assert [r["file"] for r in reports] == ["a_k13.txt", "b_p4.txt"]
     assert reports[0]["distinguishing_number"] == 3
+
+
+def test_batch_reports_every_file(tmp_path):
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "a_p4.txt").write_text(P4)
+    (d / "b_bad.txt").write_bytes(b"a b\n\xff c\n")
+    (d / "c_k13.txt").write_text(K13)
+    out = run_cli("analyze", "--batch", str(d), "--json")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    reports = json.loads(out.stdout)
+    assert [r["file"] for r in reports] == ["a_p4.txt", "b_bad.txt", "c_k13.txt"]
+    assert set(reports[1]) == {"file", "error"}
+    assert reports[2]["distinguishing_number"] == 3
+    text = run_cli("analyze", "--batch", str(d))
+    assert text.returncode == 2
+    assert "== b_bad.txt ==\nerror: " in text.stdout
+    assert "== c_k13.txt ==\ntree on 4 vertices" in text.stdout
 
 
 def test_count_proper_list_edge_center_unsupported(p4_file, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from treesym import (
     Tree,
     canonical_code,
     center,
+    distinguishes,
     enumerate_automorphisms,
     extract_subtree,
     is_distinguishing,
@@ -270,6 +273,62 @@ def test_vertex_orbits_match_group():
         # one refinement id per true orbit, and never merging two orbits
         assert all(len(ids) == 1 for ids in seen.values())
         assert len({ids.pop() for ids in seen.values()}) == len(seen)
+
+
+# -- fast verifier -----------------------------------------------------------------
+
+def _with_synthetic(rt, coloring, color=1):
+    # a to_rooted view of an edge-centered tree also colors its synthetic root
+    return {**coloring, rt.subdivision_vertex: color} if rt.subdivided else coloring
+
+
+def test_distinguishes_matches_oracle_on_all_2_colorings():
+    # the oracle's group of the reduction is the tree's group (see
+    # test_rooted_symmetry_preserved_by_reduction), so one oracle call
+    # judges both views; star(7), with 5040 automorphisms, dominates the time
+    for t in all_trees_up_to(8):
+        rt = to_rooted(t)
+        for colors in itertools.product((1, 2), repeat=t.n):
+            phi = dict(enumerate(colors))
+            want = is_distinguishing(t, phi)
+            assert distinguishes(t, phi) == want
+            assert distinguishes(rt, _with_synthetic(rt, phi)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_distinguishes_matches_oracle_random(n, k, rnd):
+    t = random_tree(n, seed=rnd.random())
+    phi = {v: rnd.randint(1, k) for v in range(n)}
+    assert distinguishes(t, phi) == is_distinguishing(t, phi)
+    rt = to_rooted(t)
+    ext = _with_synthetic(rt, phi, rnd.randint(1, k))
+    assert distinguishes(rt, ext) == is_distinguishing(rt, ext)
+    # any root: the root-preserving group of that rooted view
+    other = RootedTree(t, rnd.randrange(n))
+    assert distinguishes(other, phi) == is_distinguishing(other, phi)
+
+
+def test_distinguishes_edge_center_swap():
+    # the two halves of P4 swap unless their colored shapes differ
+    t = path(4)
+    assert not distinguishes(t, dict(enumerate((1, 2, 2, 1))))
+    assert distinguishes(t, dict(enumerate((1, 2, 1, 1))))
+    assert distinguishes(t, dict(enumerate((1, 1, 1, 2))))
+    assert not distinguishes(path(2), {0: 3, 1: 3})
+
+
+def test_distinguishes_missing_vertex():
+    t = path(4)
+    rt = to_rooted(t)
+    phi = {v: 1 for v in range(t.n)}
+    with pytest.raises(ValueError):
+        distinguishes(t, {v: 1 for v in range(t.n - 1)})
+    # the rooted reduction's synthetic root is a vertex of that rooted tree
+    with pytest.raises(ValueError):
+        distinguishes(rt, phi)
+    with pytest.raises(ValueError):
+        is_distinguishing(rt, phi)
 
 
 # -- serialisation ----------------------------------------------------------------
