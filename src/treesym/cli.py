@@ -26,7 +26,6 @@ from .construction import (
     distinguishing_chromatic_number,
     distinguishing_number,
     parameters,
-    unrank_distinguishing,
 )
 from .counting import CountTable
 from .errors import (
@@ -104,36 +103,13 @@ def _coloring_json(t, coloring: Coloring) -> dict:
 def _certificate_json(rt: RootedTree, cert) -> dict | None:
     if cert is None:
         return None
-    label = rt.origin_label(cert.vertex)
     return {
-        "vertex": label if label is not None else rt.base.labels[cert.vertex],
+        "vertex": rt.labels[cert.vertex],
         "synthetic_vertex": rt.is_synthetic(cert.vertex),
         "children": sorted(rt.base.labels[c] for c in cert.children),
         "k": cert.k,
         "degenerate": cert.degenerate,
     }
-
-
-def _class_counts(rt: RootedTree, k: int) -> tuple:
-    """Exact class counts of distinguishing and of proper distinguishing
-    k-colorings of the input tree.
-
-    An edge-centered tree's counts are glued from its two halves u and v
-    instead of read off the subdivided reduction: the synthetic root's k
-    free colors multiply the plain count by k, and the reduction lets u and
-    v share a color although they are adjacent.  Properly colored halves
-    always differ at u and v, so swapping isomorphic halves pairs up the
-    proper classes without fixing any.
-    """
-    table = CountTable(rt)
-    if not rt.subdivided:
-        return (table.distinguishing_raw(rt.root, k),
-                k * table.proper_raw(rt.root, k))
-    u, v = rt.children[rt.root]
-    proper = k * (k - 1) * table.proper_raw(u, k) * table.proper_raw(v, k)
-    if rt.code_id(u) == rt.code_id(v):
-        proper //= 2
-    return table.distinguishing_raw(rt.root, k) // k, proper
 
 
 def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
@@ -178,11 +154,11 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
             "proper_distinguishing": _coloring_json(t, proper),
         }
     if counts_k is not None:
-        dk, pk = _class_counts(rt, counts_k)
+        table = CountTable(rt)
         report["counts"] = {
             "k": counts_k,
-            "distinguishing_classes": str(dk),
-            "proper_distinguishing_classes": str(pk),
+            "distinguishing_classes": str(table.tree_distinguishing(counts_k)),
+            "proper_distinguishing_classes": str(table.tree_proper(counts_k)),
         }
     report["timing_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     return report
@@ -261,16 +237,7 @@ def cmd_count(args) -> int:
     if args.list:
         assignment = parse_list_file(_read_input(args.list), t)
         if args.proper:
-            if rt.subdivided:
-                raise ClassCapError(
-                    "proper list counting on edge-centered trees is not supported;"
-                    " use 'color --proper --list' for a witness"
-                )
-            total = sum(
-                count_proper_list_distinguishing(rt, assignment, i).value
-                for i in sorted(assignment.get(rt.root))
-            )
-            print(total)
+            print(count_proper_list_distinguishing(rt, assignment).value)
             return EXIT_OK
         if rt.subdivided:
             assignment = assignment.extended(rt.subdivision_vertex,
@@ -279,8 +246,9 @@ def cmd_count(args) -> int:
         return EXIT_OK
     if args.k is None:
         raise TreeSyntaxError("count needs a palette size k (or --list FILE)")
-    plain, proper = _class_counts(rt, args.k)
-    print(proper if args.proper else plain)
+    table = CountTable(rt)
+    print(table.tree_proper(args.k) if args.proper
+          else table.tree_distinguishing(args.k))
     return EXIT_OK
 
 
@@ -295,17 +263,10 @@ def cmd_color(args) -> int:
                                                           proper=args.proper)
         if coloring is None:
             raise NoColoringError("no distinguishing coloring from the given lists")
+    elif args.proper:
+        coloring = construct_proper_distinguishing_coloring(rt, args.k, args.index)
     else:
-        k = args.k
-        if args.proper:
-            coloring = construct_proper_distinguishing_coloring(rt, k, args.index)
-        else:
-            if k is None:
-                k = distinguishing_number(rt)
-            full = unrank_distinguishing(rt, k, args.index)
-            coloring = (full.restricted_to(v for v in range(rt.n)
-                                           if v != rt.subdivision_vertex)
-                        if rt.subdivided else full)
+        coloring = construct_distinguishing_coloring(rt, args.k, args.index)
     for line in _coloring_lines(t, coloring):
         print(line)
     return EXIT_OK
@@ -397,7 +358,7 @@ def cmd_selftest(args) -> int:
         check(f"certificate presence matches chi_D = D + 1 at n={n}", agree)
 
     for n in range(2, min(max_n, 6) + 1):
-        agree = True
+        agree = tree_agree = True
         for t in families.nonisomorphic_trees(n):
             rt = to_rooted(t)
             table = CountTable(rt)
@@ -408,7 +369,12 @@ def cmd_selftest(args) -> int:
                 if (k * table.proper_raw(rt.root, k)
                         != oracle.brute_count_classes(rt, k, proper=True).value):
                     agree = False
+                if ((table.tree_distinguishing(k), table.tree_proper(k))
+                        != (oracle.brute_count_classes(t, k).value,
+                            oracle.brute_count_classes(t, k, proper=True).value)):
+                    tree_agree = False
         check(f"counts match exhaustive enumeration at n={n}", agree)
+        check(f"input-tree counts match exhaustive enumeration at n={n}", tree_agree)
 
     top = min(max_n, 7)
     agree = True

@@ -110,35 +110,17 @@ def _search_d(table: CountTable) -> int:
                              start=rt.leaf_bound(), limit=2 * rt.n + 2)
 
 
-def _halves_rigid(table: CountTable) -> bool:
-    u, v = table.rt.children[table.rt.root]
-    return (table.distinguishing_raw(u, 1) == 1
-            and table.distinguishing_raw(v, 1) == 1)
-
-
 def _search_chi(table: CountTable, d: int) -> int:
-    # chi_D >= D; edge-centered trees where no nontrivial automorphism fixes
-    # both central endpoints are 2-colorable distinguishably, and all other
-    # edge-centered trees need at least 3 colors, at which point the
-    # subdivided reduction gives the exact answer
-    rt = table.rt
-    start = d
-    if rt.subdivided:
-        if _halves_rigid(table):
-            return 2
-        start = max(d, 3)
-    return _least_positive_k(lambda k: table.proper_raw(rt.root, k) > 0,
-                             start=start, limit=2 * rt.n + 2)
+    return _least_positive_k(lambda k: table.tree_proper(k) > 0,
+                             start=d, limit=2 * table.rt.n + 2)
 
 
 def _certificate(table: CountTable, k: int) -> Certificate | None:
-    rt = table.rt
-    if rt.origin_count == 1:
+    if table.tree_proper(k):
         return None
+    rt = table.rt
     if k == 1:
         return Certificate(rt.root, (), 1, degenerate=True)
-    if rt.subdivided and _halves_rigid(table):
-        return None
     # a class of m siblings needs m distinct proper colorings of its
     # representative, and only (k-1) * proper(rep, k) of them exist
     row = table.proper_row(k)
@@ -168,9 +150,7 @@ def distinguishing_chromatic_number(t) -> int:
     """Least k admitting a proper distinguishing k-coloring.
 
     Searched upward from the distinguishing number on the same saturating
-    table.  Edge-centered trees where no nontrivial automorphism fixes both
-    central endpoints are 2-colorable distinguishably; all other
-    edge-centered trees need at least 3 colors.
+    table, as the least k with :meth:`CountTable.tree_proper` positive.
     """
     table = _saturating_table(t)
     return _search_chi(table, _search_d(table))
@@ -328,9 +308,8 @@ def chi_certificate(t) -> Certificate | None:
     k = 1 gets the degenerate certificate; otherwise some vertex of the
     rooted reduction must own a sibling class larger than the pool of
     proper colorings available to it, and the first such (vertex, class)
-    pair in BFS and class order is the certificate.  Edge-centered trees
-    whose halves are rigid are the 2-proper-colorable special case and
-    never carry one.
+    pair in BFS and class order is the certificate.  One exists exactly
+    when :meth:`CountTable.tree_proper` is zero at k.
     """
     table = _saturating_table(t)
     return _certificate(table, _search_d(table))
@@ -339,28 +318,23 @@ def chi_certificate(t) -> Certificate | None:
 # -- whole-tree witnesses ----------------------------------------------------
 
 
-def _restrict_to_origin(rt: RootedTree, coloring: Coloring) -> Coloring:
-    if not rt.subdivided:
-        return coloring
-    return Coloring({v: c for v, c in coloring.colors.items()
-                     if v != rt.subdivision_vertex})
-
-
-def construct_distinguishing_coloring(t, k: int | None = None) -> Coloring:
-    """A distinguishing k-coloring of the input tree (class representative
-    at index 0 of the rooted reduction, synthetic vertex dropped)."""
+def construct_distinguishing_coloring(t, k: int | None = None,
+                                      index=0) -> Coloring:
+    """A distinguishing k-coloring of the input tree: the representative of
+    the index-th class of the rooted reduction, synthetic vertex dropped."""
     rt = _as_rooted(t)
     if k is None:
         k = distinguishing_number(rt)
     try:
-        coloring = unrank_distinguishing(rt, k, 0)
+        coloring = unrank_distinguishing(rt, k, index)
     except CountIndexError:
-        # index 0 is out of range only when the count at k is zero
+        d = distinguishing_number(rt)
+        if k >= d:
+            raise
         raise NoColoringError(
-            f"no distinguishing {k}-coloring exists;"
-            f" need at least {distinguishing_number(rt)} colors"
+            f"no distinguishing {k}-coloring exists; need at least {d} colors"
         ) from None
-    return _restrict_to_origin(rt, coloring)
+    return coloring.restricted_to(range(rt.origin_count))
 
 
 def construct_proper_distinguishing_coloring(t, k: int | None = None,

@@ -180,6 +180,26 @@ class CountTable:
     def proper(self, v: int, k: int) -> BigCount:
         return self._finish(self.proper_raw(v, k))
 
+    def tree_distinguishing(self, k: int) -> int:
+        """Raw class count of distinguishing k-colorings of the input tree.
+        An edge-centered reduction's synthetic root adds a free factor k;
+        use exact tables only, as a saturated value over k may reach 0."""
+        total = self.distinguishing_raw(self.rt.root, k)
+        return total // k if self.rt.subdivided else total
+
+    def tree_proper(self, k: int) -> int:
+        """Raw class count of proper distinguishing k-colorings of the input
+        tree, positive exactly when the true count is.  An edge-centered
+        tree, glued from the halves u and v of its reduction, has
+        k(k-1) * proper(u) * proper(v), halved when the halves are
+        isomorphic: swapping them pairs up the classes and fixes none."""
+        rt = self.rt
+        if not rt.subdivided:
+            return k * self.proper_raw(rt.root, k)
+        u, v = rt.children[rt.root]
+        total = k * (k - 1) * self.proper_raw(u, k) * self.proper_raw(v, k)
+        return total // 2 if rt.code_id(u) == rt.code_id(v) else total
+
 
 def count_distinguishing(rt: RootedTree, k: int, cap=None) -> BigCount:
     """Number of classes of distinguishing k-colorings of the rooted tree.
@@ -192,6 +212,7 @@ def count_distinguishing(rt: RootedTree, k: int, cap=None) -> BigCount:
 
 def count_proper_distinguishing(rt: RootedTree, k: int, cap=None) -> BigCount:
     """Number of classes of proper distinguishing k-colorings with the root
-    color pinned; independent of which color is pinned.  Multiply by k for
-    the total over all root colors."""
+    color pinned; independent of which color is pinned.  Times k, the
+    total over root colors of a vertex-centered tree; for an edge-centered
+    tree see :meth:`CountTable.tree_proper`."""
     return CountTable(rt, cap).proper(rt.root, k)

@@ -262,15 +262,27 @@ def count_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
 
 
 def count_proper_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
-                                     root_color: int,
+                                     root_color: int | None = None,
                                      class_cap: int = DEFAULT_CLASS_CAP) -> BigCount:
     """Exact number of classes of proper distinguishing list colorings with
-    the root colored ``root_color``."""
+    the root colored ``root_color``, or without it the total over the input
+    tree: for an edge-centered reduction, the unordered pairs of half
+    classes at u and v with different colors at u and v."""
+    if root_color is None and rt.subdivided:
+        assignment.require_cover(rt.origin_count)
+        sets = _proper_rep_sets(rt, assignment, class_cap, witnesses=False,
+                                skip_root=True)
+        u, v = rt.children[rt.root]
+        return BigCount(len({frozenset((a, b))
+                             for cu in assignment.get(u)
+                             for cv in assignment.get(v) if cu != cv
+                             for a in sets[(u, cu)] for b in sets[(v, cv)]}))
     assignment.require_cover(rt.n)
-    if root_color not in assignment.get(rt.root):
+    if root_color is not None and root_color not in assignment.get(rt.root):
         raise ValueError(f"color {root_color} is not in the root's list")
     sets = _proper_rep_sets(rt, assignment, class_cap, witnesses=False)
-    return BigCount(len(sets[(rt.root, root_color)]))
+    colors = assignment.get(rt.root) if root_color is None else (root_color,)
+    return BigCount(sum(len(sets[(rt.root, c)]) for c in colors))
 
 
 @dataclass(frozen=True)
@@ -303,10 +315,9 @@ def construct_list_distinguishing_coloring(
         class_cap: int = DEFAULT_CLASS_CAP) -> Coloring | None:
     """A verified distinguishing (and proper, on request) coloring drawn
     from the lists, or None when no such coloring exists."""
-    rooted_input = isinstance(t, RootedTree)
-    rt = t if rooted_input else to_rooted(t)
+    rt = t if isinstance(t, RootedTree) else to_rooted(t)
     assignment.require_cover(rt.origin_count)
-    verify_on = original_tree(rt) if rooted_input and rt.subdivided else t
+    verify_on = original_tree(rt) if rt.subdivided else t
 
     if not proper:
         work = assignment
@@ -318,8 +329,8 @@ def construct_list_distinguishing_coloring(
         root_set = sets[rt.root]
         if not root_set:
             return None
-        witness = root_set[min(root_set)]
-        coloring = _strip_synthetic(rt, witness)
+        coloring = Coloring(root_set[min(root_set)]).restricted_to(
+            range(rt.origin_count))
         if not distinguishes(verify_on, coloring):
             raise AssertionError("constructed coloring failed verification")
         return coloring
@@ -351,12 +362,6 @@ def construct_list_distinguishing_coloring(
                 _verify_proper(verify_on, coloring)
                 return coloring
     return None
-
-
-def _strip_synthetic(rt: RootedTree, witness: dict) -> Coloring:
-    if rt.subdivided:
-        witness = {v: c for v, c in witness.items() if v != rt.subdivision_vertex}
-    return Coloring(dict(witness))
 
 
 def _verify_proper(t, coloring: Coloring):

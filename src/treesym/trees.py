@@ -162,8 +162,7 @@ class RootedTree:
         root = int(root)
         if not 0 <= root < base.n:
             raise InvalidTreeError(f"root id {root} out of range")
-        self._base = base
-        self._pending_base = None
+        self._base = self._source = base
         self.subdivided = False
         self.subdivision_vertex = None
         self.origin_count = base.n
@@ -175,7 +174,8 @@ class RootedTree:
         # the subdivided base tree itself is materialized only on demand
         rt = object.__new__(cls)
         rt._base = None
-        rt._pending_base = (t, label)
+        rt._source = t
+        rt._center_label = label
         rt.subdivided = True
         rt.subdivision_vertex = t.n
         rt.origin_count = t.n
@@ -238,11 +238,11 @@ class RootedTree:
     @property
     def base(self) -> Tree:
         if self._base is None:
-            t, label = self._pending_base
+            t = self._source
             x = self.root
             u, v = sorted(self.children[x])
             edges = [e for e in t.edges if e != (u, v)] + [(u, x), (v, x)]
-            self._base = Tree._trusted(t.labels + (label,), edges)
+            self._base = Tree._trusted(t.labels + (self._center_label,), edges)
         return self._base
 
     @property
@@ -255,14 +255,6 @@ class RootedTree:
 
     def is_synthetic(self, v: int) -> bool:
         return self.subdivided and v == self.subdivision_vertex
-
-    def origin_label(self, v: int) -> str | None:
-        """Original label of ``v``, or None for the synthetic center vertex."""
-        return None if self.is_synthetic(v) else self.base.labels[v]
-
-    @property
-    def origin_map(self) -> dict:
-        return {v: self.origin_label(v) for v in range(self.n)}
 
     def subtree_sizes(self) -> tuple:
         if self._sizes is None:
@@ -435,15 +427,9 @@ def to_rooted(t: Tree) -> RootedTree:
 
 
 def original_tree(rt: RootedTree) -> Tree:
-    """Undo the subdivision of :func:`to_rooted`: drop the synthetic vertex
-    and restore the central edge.  For unsubdivided views this is the base."""
-    if not rt.subdivided:
-        return rt.base
-    x = rt.subdivision_vertex
-    u, v = sorted(rt.children[x])
-    labels = rt.base.labels[: rt.origin_count]
-    edges = [e for e in rt.base.edges if x not in e] + [(u, v)]
-    return Tree(labels, edges)
+    """The tree a rooted view was built from: for a subdivided view of
+    :func:`to_rooted`, the input tree itself, without the synthetic vertex."""
+    return rt._source
 
 
 def extract_subtree(rt: RootedTree, v: int) -> RootedTree:

@@ -298,11 +298,13 @@ def test_batch_reports_every_file(tmp_path):
     assert "== c_k13.txt ==\ntree on 4 vertices" in text.stdout
 
 
-def test_count_proper_list_edge_center_unsupported(p4_file, tmp_path):
+def test_count_proper_list_edge_centered(p4_file, tmp_path):
+    # P4 from {1,2}: the two proper 2-colorings are swapped by the reversal
     lists = tmp_path / "lists.txt"
     lists.write_text("a: 1,2\nb: 1,2\nc: 1,2\nd: 1,2\n")
     out = run_cli("count", p4_file, "--proper", "--list", str(lists))
-    assert out.returncode == 3
+    assert out.returncode == 0
+    assert out.stdout == "1\n"
 
 
 def test_color_list_index_combination_rejected(p4_file, tmp_path):

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treesym import (
     ListAssignment,
@@ -24,6 +27,7 @@ from treesym.families import (
     all_trees_up_to,
     nonisomorphic_rooted_trees,
     path,
+    random_tree,
     spider,
     star,
 )
@@ -114,6 +118,26 @@ def test_counts_match_brute_enumeration():
                 pinned = la.extended(rt.root, {i})
                 assert (count_proper_list_distinguishing(rt, la, i).value
                         == brute_count_classes(rt, lists=pinned, proper=True).value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_list_counts_and_witnesses_match_oracle(n, rnd):
+    # random labeled trees, edge-centered ones included, judged as input trees
+    t = random_tree(n, seed=rnd.random())
+    lists = {v: rnd.sample(range(1, 5), rnd.randint(1, 3)) for v in range(n)}
+    assume(math.prod(len(s) for s in lists.values()) <= 5000)
+    la = ListAssignment.from_dict(lists)
+    rt = to_rooted(t)
+    # as ``count --list``: the synthetic center gets a private color
+    work = la.extended(rt.subdivision_vertex, {la.max_color() + 1}) if rt.subdivided else la
+    plain = count_list_distinguishing(rt, work).value
+    proper = count_proper_list_distinguishing(rt, la).value
+    assert plain == brute_count_classes(t, lists=la).value
+    assert proper == brute_count_classes(t, lists=la, proper=True).value
+    assert (construct_list_distinguishing_coloring(t, la) is not None) == (plain > 0)
+    assert ((construct_list_distinguishing_coloring(t, la, proper=True) is not None)
+            == (proper > 0))
 
 
 def test_representative_set_matches_counts():

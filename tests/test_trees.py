@@ -152,8 +152,8 @@ def test_to_rooted_edge_center(p4):
     assert rt.n == 5
     assert rt.root == rt.subdivision_vertex == 4
     assert sorted(rt.children[rt.root]) == [1, 2]
-    assert rt.origin_label(rt.root) is None
-    assert rt.origin_map[0] == "0"
+    assert rt.labels[:4] == p4.labels
+    assert original_tree(rt) is p4
 
 
 def test_to_rooted_single_edge_preserves_group():
@@ -284,13 +284,16 @@ def _with_synthetic(rt, coloring, color=1):
 
 def test_distinguishes_matches_oracle_on_all_2_colorings():
     # the oracle's group of the reduction is the tree's group (see
-    # test_rooted_symmetry_preserved_by_reduction), so one oracle call
-    # judges both views; star(7), with 5040 automorphisms, dominates the time
+    # test_rooted_symmetry_preserved_by_reduction), so one group judges
+    # both views; it is enumerated once per tree, as is_distinguishing
+    # would enumerate it for every coloring
     for t in all_trees_up_to(8):
         rt = to_rooted(t)
+        perms = enumerate_automorphisms(t).nontrivial_perms()
         for colors in itertools.product((1, 2), repeat=t.n):
             phi = dict(enumerate(colors))
-            want = is_distinguishing(t, phi)
+            want = not any(all(colors[p[v]] == colors[v] for v in range(t.n))
+                           for p in perms)
             assert distinguishes(t, phi) == want
             assert distinguishes(rt, _with_synthetic(rt, phi)) == want
 
