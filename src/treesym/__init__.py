@@ -27,13 +27,11 @@ from .counting import (
 from .list_coloring import (
     ListAssignment,
     OrbitListCheck,
-    RepresentativeSet,
     check_orbit_list_equality,
     construct_list_distinguishing_coloring,
     count_list_distinguishing,
     count_proper_list_distinguishing,
     parse_list_file,
-    representative_set,
 )
 from .oracle import (
     AutGroup,

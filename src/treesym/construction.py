@@ -3,9 +3,14 @@
 Colorings live on internal vertex ids.  Color 0 is reserved for the repair
 color written as ``*`` in output; palettes are 1..k.
 
+Plain and proper witnesses come from one unrank walker over the count
+recursion of :mod:`treesym.counting`: with ``a`` colors open to each child
+(a = k plain, a = k - 1 proper), a class of m siblings picks an m-subset
+of the a * f_a(rep) (color, pinned class) slots of its representative.
 The canonical order on coloring classes, used by rank/unrank, is: root
 color ascending, then sibling classes in code order, then within a class
-the strictly decreasing tuple of child-class ranks in subset-rank order.
+the strictly decreasing tuple of slot ranks in subset-rank order, where
+slot (c, i) has rank (position of c among the open colors) * f_a + i.
 It exists purely to make counts, ranks, and constructed witnesses
 deterministic and bijective.
 """
@@ -123,7 +128,7 @@ def _certificate(table: CountTable, k: int) -> Certificate | None:
         return Certificate(rt.root, (), 1, degenerate=True)
     # a class of m siblings needs m distinct proper colorings of its
     # representative, and only (k-1) * proper(rep, k) of them exist
-    row = table.proper_row(k)
+    row = table.row(k - 1)
     _, mults = rt.class_structure()
     short = [any((k - 1) * row[c] < m for c, m in mults[cid])
              for cid in range(len(row))]
@@ -187,35 +192,60 @@ def _subset_unrank_desc(r: int, m: int) -> list:
 # -- rank / unrank ----------------------------------------------------------
 
 
+def _unrank(table: CountTable, k: int, proper: bool, start: int,
+            root_color: int, idx: int) -> dict:
+    """The idx-th class, in the canonical order, of colorings of the subtree
+    at ``start`` with its root colored ``root_color``: a class of m siblings
+    takes the m-subset of rank r among the a * f(rep) (color, pinned class)
+    slots of its representative, a child's color being the slot's block in
+    the colors open to it."""
+    rt = table.rt
+    a = k - 1 if proper else k
+    row = table.row(a)
+    total = row[rt.code_id(start)]
+    if not 0 <= idx < total:
+        raise CountIndexError(f"index {idx} outside [0, {total})")
+    palette = range(1, k + 1)
+    out: dict = {}
+    stack = [(start, root_color, idx)]
+    while stack:
+        v, color, ix = stack.pop()
+        out[v] = color
+        infos = []
+        block = 1
+        for cls in rt.sibling_classes(v):
+            f = row[cls.code_id]
+            b = comb(a * f, cls.size)
+            infos.append((cls, f, b))
+            block *= b
+        allowed = [c for c in palette if c != color] if proper else palette
+        rem = ix
+        for cls, f, b in infos:
+            block //= b
+            slots = _subset_unrank_desc(rem // block, cls.size)
+            rem %= block
+            for child, slot in zip(cls.members, slots):
+                stack.append((child, allowed[slot // f], slot % f))
+    return out
+
+
+def _unrank_led(table: CountTable, k: int, proper: bool, total: int,
+                idx: int) -> dict:
+    # index over all k root colors of the total classes; the root color
+    # leads, as in rank order
+    if not 0 <= idx < total:
+        raise CountIndexError(f"index {idx} outside [0, {total})")
+    f = total // k
+    return _unrank(table, k, proper, table.rt.root, idx // f + 1, idx % f)
+
+
 def unrank_distinguishing(rt: RootedTree, k: int, index) -> Coloring:
     """Canonical representative of the index-th class of distinguishing
     k-colorings; distinct indices yield inequivalent colorings."""
     idx = _exact_index(index)
     table = CountTable(rt)
-    total = table.distinguishing_raw(rt.root, k)
-    if not 0 <= idx < total:
-        raise CountIndexError(f"index {idx} outside [0, {total})")
-    out: dict = {}
-    stack = [(rt.root, idx)]
-    while stack:
-        v, ix = stack.pop()
-        classes = rt.sibling_classes(v)
-        bases = [
-            comb(table.distinguishing_raw(cls.representative, k), cls.size)
-            for cls in classes
-        ]
-        block = 1
-        for b in bases:
-            block *= b
-        out[v] = ix // block + 1
-        rem = ix % block
-        for cls, b in zip(classes, bases):
-            block //= b
-            ranks = _subset_unrank_desc(rem // block, cls.size)
-            rem %= block
-            for child, r in zip(cls.members, ranks):
-                stack.append((child, r))
-    return Coloring(out)
+    return Coloring(_unrank_led(table, k, False,
+                                table.distinguishing_raw(rt.root, k), idx))
 
 
 def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
@@ -227,7 +257,7 @@ def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
             raise ValueError(f"coloring misses vertex {v}")
         if not 1 <= colors[v] <= k:
             raise ValueError(f"color {colors[v]} at vertex {v} outside 1..{k}")
-    table = CountTable(rt)
+    row = CountTable(rt).row(k)
     ranks: dict = {}
     for v in reversed(rt.bfs_order):
         idx = colors[v] - 1
@@ -237,8 +267,7 @@ def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
                 raise NotDistinguishingError(
                     f"children of vertex {v} carry equivalent colorings"
                 )
-            d = table.distinguishing_raw(cls.representative, k)
-            idx = idx * comb(d, cls.size) + _subset_rank(rs)
+            idx = idx * comb(k * row[cls.code_id], cls.size) + _subset_rank(rs)
         ranks[v] = idx
     return BigCount(ranks[rt.root])
 
@@ -249,37 +278,8 @@ def unrank_proper_distinguishing(rt: RootedTree, k: int, root_color: int,
     k-colorings with the root colored ``root_color``."""
     if not 1 <= root_color <= k:
         raise ValueError(f"root color {root_color} outside 1..{k}")
-    return Coloring(_unrank_proper_from(rt, CountTable(rt), rt.root, k,
-                                        root_color, _exact_index(index)))
-
-
-def _unrank_proper_from(rt: RootedTree, table: CountTable, start: int, k: int,
-                        root_color: int, idx: int) -> dict:
-    total = table.proper_raw(start, k)
-    if not 0 <= idx < total:
-        raise CountIndexError(f"index {idx} outside [0, {total})")
-    out: dict = {}
-    stack = [(start, root_color, idx)]
-    while stack:
-        v, color, ix = stack.pop()
-        out[v] = color
-        classes = rt.sibling_classes(v)
-        infos = []
-        block = 1
-        for cls in classes:
-            dchi = table.proper_raw(cls.representative, k)
-            b = comb((k - 1) * dchi, cls.size)
-            infos.append((cls, dchi, b))
-            block *= b
-        allowed = [c for c in range(1, k + 1) if c != color]
-        rem = ix
-        for cls, dchi, b in infos:
-            block //= b
-            slots = _subset_unrank_desc(rem // block, cls.size)
-            rem %= block
-            for child, a in zip(cls.members, slots):
-                stack.append((child, allowed[a // dchi], a % dchi))
-    return out
+    return Coloring(_unrank(CountTable(rt), k, True, rt.root, root_color,
+                            _exact_index(index)))
 
 
 # -- properization and certificates ----------------------------------------
@@ -321,50 +321,71 @@ def chi_certificate(t) -> Certificate | None:
 def construct_distinguishing_coloring(t, k: int | None = None,
                                       index=0) -> Coloring:
     """A distinguishing k-coloring of the input tree: the representative of
-    the index-th class of the rooted reduction, synthetic vertex dropped."""
+    its index-th class, 0 <= index < :meth:`CountTable.tree_distinguishing`.
+    The root color leads the index; an edge-centered tree's synthetic root
+    is pinned to color 1 and dropped from the result."""
     rt = _as_rooted(t)
     if k is None:
         k = distinguishing_number(rt)
-    try:
-        coloring = unrank_distinguishing(rt, k, index)
-    except CountIndexError:
-        d = distinguishing_number(rt)
-        if k >= d:
-            raise
+    idx = _exact_index(index)
+    table = CountTable(rt)
+    total = table.tree_distinguishing(k)
+    if not total:
         raise NoColoringError(
-            f"no distinguishing {k}-coloring exists; need at least {d} colors"
-        ) from None
-    return coloring.restricted_to(range(rt.origin_count))
+            f"no distinguishing {k}-coloring exists;"
+            f" need at least {distinguishing_number(rt)} colors"
+        )
+    if rt.subdivided:
+        colors = _unrank(table, k, False, rt.root, 1, idx)
+        return Coloring(colors).restricted_to(range(rt.origin_count))
+    return Coloring(_unrank_led(table, k, False, total, idx))
+
+
+def _central_colors(k: int, twins: bool, pair: int) -> tuple:
+    # the pair-th (color at u, color at v) with u != v in lexicographic
+    # order; isomorphic halves take u < v only, as swapping them maps
+    # (cu, cv) onto (cv, cu)
+    if not twins:
+        cu, j = divmod(pair, k - 1)
+        return cu + 1, j + 1 if j < cu else j + 2
+    cu = 1
+    while pair >= k - cu:
+        pair -= k - cu
+        cu += 1
+    return cu, cu + 1 + pair
 
 
 def construct_proper_distinguishing_coloring(t, k: int | None = None,
                                              index=0) -> Coloring:
-    """A proper distinguishing k-coloring of the input tree.
+    """A proper distinguishing k-coloring of the input tree: the
+    representative of its index-th class, 0 <= index <
+    :meth:`CountTable.tree_proper`.
 
-    Vertex-centered (and plain rooted) trees take the index-th class with
-    the root colored 1.  Edge-centered trees are colored half by half with
-    the two central endpoints pinned to colors 1 and 2, indexing the pair
-    of half classes; in their 2-colorable special case each half has one
-    class, so the one witness is the distance-parity coloring.
+    On a vertex-centered (or plain rooted) tree the root color leads the
+    index.  An edge-centered tree is colored half by half: the index leads
+    with the pair of colors at the central endpoints u and v (ordered
+    pairs, or pairs with u's color the smaller when the halves are
+    isomorphic; pair 0 is (1, 2)), then the class of u's half, then v's.
     """
     rt = _as_rooted(t)
     if k is None:
         k = distinguishing_chromatic_number(rt)
     idx = _exact_index(index)
     table = CountTable(rt)
+    total = table.tree_proper(k)
+    if not total:
+        raise NoColoringError(
+            f"no proper distinguishing {k}-coloring exists;"
+            f" need at least {distinguishing_chromatic_number(rt)} colors"
+        )
     if not rt.subdivided:
-        if table.proper_raw(rt.root, k):
-            return Coloring(_unrank_proper_from(rt, table, rt.root, k, 1, idx))
-    else:
-        # gluing: the subdivided reduction must not be used here, because
-        # the two central endpoints are adjacent in the original tree
-        u, v = rt.children[rt.root]
-        right_total = table.proper_raw(v, k)
-        if k >= 2 and right_total and table.proper_raw(u, k):
-            left = _unrank_proper_from(rt, table, u, k, 1, idx // right_total)
-            right = _unrank_proper_from(rt, table, v, k, 2, idx % right_total)
-            return Coloring({**left, **right})
-    raise NoColoringError(
-        f"no proper distinguishing {k}-coloring exists;"
-        f" need at least {distinguishing_chromatic_number(rt)} colors"
-    )
+        return Coloring(_unrank_led(table, k, True, total, idx))
+    if not 0 <= idx < total:
+        raise CountIndexError(f"index {idx} outside [0, {total})")
+    # the subdivided root must not take part: u and v are adjacent
+    u, v = rt.children[rt.root]
+    fv = table.proper_raw(v, k)
+    pair, rem = divmod(idx, table.proper_raw(u, k) * fv)
+    cu, cv = _central_colors(k, rt.code_id(u) == rt.code_id(v), pair)
+    return Coloring({**_unrank(table, k, True, u, cu, rem // fv),
+                     **_unrank(table, k, True, v, cv, rem % fv)})

@@ -2,11 +2,18 @@
 saturating mode.
 
 The counts are numbers of equivalence classes (under root-preserving
-automorphisms) of distinguishing k-colorings, and of proper distinguishing
-k-colorings with the root color pinned.  Both follow the same shape: a
-product over sibling classes of binomial choices among the classes
-available for one representative subtree, memoized by canonical code so
-isomorphic subtrees are computed once.
+automorphisms) of distinguishing colorings.  Plain and proper counts are
+one recursion: pin the color of a subtree's root and leave ``a`` colors
+open to each child; a sibling class of m children with representative c
+then picks m distinct classes among the a * f_a(c) (color, pinned class)
+slots of c, so
+
+    f_a(v) = prod over the sibling classes (c, m) of v of C(a * f_a(c), m).
+
+The plain count is D(v, k) = k * f_k(v), and the proper count with the
+root color pinned is P(v, k) = f_{k-1}(v), since a child may take any
+color but its parent's.  One pass computes f_a for every canonical class
+at once, so isomorphic subtrees are computed once.
 
 Saturating mode clamps every intermediate at an internal cap of at least
 n+1, which keeps positivity and threshold comparisons exact while the
@@ -68,13 +75,6 @@ def _cap_value(cap) -> int | None:
 # icap > every class size it will ask about, which keeps clamping sound.
 
 
-def _mul(a: int, b: int, icap: int | None) -> int:
-    p = a * b
-    if icap is not None and p >= icap:
-        return icap
-    return p
-
-
 def _binom(top: int, m: int, icap: int | None) -> int:
     if icap is None:
         return comb(top, m) if top >= m else 0
@@ -100,14 +100,18 @@ def _binom(top: int, m: int, icap: int | None) -> int:
     return c
 
 
-def _distinguishing_pass(rt: RootedTree, k: int, icap: int | None) -> list:
+def _pinned_pass(rt: RootedTree, a: int, icap: int | None) -> list:
+    """f_a per class id: classes of colorings with the root color pinned
+    and ``a`` colors open to each child."""
     order, mults = rt.class_structure()
     table: list = [None] * len(order)
-    base = k if icap is None or k < icap else icap
     for cid in order:
-        val = base
+        val = 1
         for ccid, mult in mults[cid]:
-            val *= table[ccid] if mult == 1 else _binom(table[ccid], mult, icap)
+            slots = a * table[ccid]
+            if icap is not None and slots >= icap:
+                slots = icap
+            val *= slots if mult == 1 else _binom(slots, mult, icap)
             if val == 0:
                 break
             if icap is not None and val >= icap:
@@ -116,35 +120,22 @@ def _distinguishing_pass(rt: RootedTree, k: int, icap: int | None) -> list:
     return table
 
 
-def _proper_pass(rt: RootedTree, k: int, icap: int | None) -> list:
-    order, mults = rt.class_structure()
-    table: list = [None] * len(order)
-    for cid in order:
-        val = 1
-        for ccid, mult in mults[cid]:
-            if val == 0:
-                break
-            avail = _mul(k - 1, table[ccid], icap)
-            val = _mul(val, _binom(avail, mult, icap), icap)
-        table[cid] = val
-    return table
-
-
 class CountTable:
-    """Per-subtree counts memoized by (canonical class, palette size).
+    """Per-subtree counts memoized by (canonical class, open colors).
 
     ``distinguishing(v, k)`` is the class count of distinguishing
     k-colorings of the subtree at ``v``; ``proper(v, k)`` the class count
     of proper distinguishing k-colorings with the subtree root's color
-    pinned.  A leaf yields k and 1 respectively.
+    pinned.  A leaf yields k and 1 respectively.  Both read the row f_a of
+    the module's recursion, a = k and a = k - 1, so a proper probe at k
+    reuses the row a plain probe at k - 1 built.
     """
 
     def __init__(self, rt: RootedTree, cap=None):
         self.rt = rt
         self.cap = _cap_value(cap)
         self._icap = None if self.cap is None else max(self.cap, rt.n + 1)
-        self._dist: dict = {}
-        self._prop: dict = {}
+        self._rows: dict = {}
 
     def _check_k(self, k: int) -> int:
         k = int(k)
@@ -157,22 +148,22 @@ class CountTable:
             return BigCount(self.cap, True, self.cap)
         return BigCount(raw, False, self.cap)
 
-    def _row(self, rows: dict, count_pass, k: int) -> list:
-        k = self._check_k(k)
-        row = rows.get(k)
+    def row(self, a: int) -> list:
+        """f_a raw values for every class, indexed by class id."""
+        row = self._rows.get(a)
         if row is None:
-            row = rows[k] = count_pass(self.rt, k, self._icap)
+            row = self._rows[a] = _pinned_pass(self.rt, a, self._icap)
         return row
 
-    def proper_row(self, k: int) -> list:
-        """``proper(., k)`` raw values for every class, indexed by class id."""
-        return self._row(self._prop, _proper_pass, k)
-
     def distinguishing_raw(self, v: int, k: int) -> int:
-        return self._row(self._dist, _distinguishing_pass, k)[self.rt.code_id(v)]
+        k = self._check_k(k)
+        raw = k * self.row(k)[self.rt.code_id(v)]
+        icap = self._icap
+        return icap if icap is not None and raw >= icap else raw
 
     def proper_raw(self, v: int, k: int) -> int:
-        return self.proper_row(k)[self.rt.code_id(v)]
+        k = self._check_k(k)
+        return self.row(k - 1)[self.rt.code_id(v)]
 
     def distinguishing(self, v: int, k: int) -> BigCount:
         return self._finish(self.distinguishing_raw(v, k))
@@ -182,10 +173,12 @@ class CountTable:
 
     def tree_distinguishing(self, k: int) -> int:
         """Raw class count of distinguishing k-colorings of the input tree.
-        An edge-centered reduction's synthetic root adds a free factor k;
-        use exact tables only, as a saturated value over k may reach 0."""
-        total = self.distinguishing_raw(self.rt.root, k)
-        return total // k if self.rt.subdivided else total
+        An edge-centered reduction's synthetic root has no symmetry role,
+        so its color is pinned: the count is f_k at the root."""
+        rt = self.rt
+        if rt.subdivided:
+            return self.row(self._check_k(k))[rt.code_id(rt.root)]
+        return self.distinguishing_raw(rt.root, k)
 
     def tree_proper(self, k: int) -> int:
         """Raw class count of proper distinguishing k-colorings of the input

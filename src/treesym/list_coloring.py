@@ -1,11 +1,14 @@
 """Exact list-variant counting and construction, at desk scale.
 
 Every subtree's equivalence classes of distinguishing list colorings are
-materialized as colored canonical codes (the plain code interleaved with
-color ids), so equivalence checks reduce to code equality.  A sibling
-class contributes the number of code sets of its size that admit a perfect
-matching between siblings and the codes available to each; representative
-sets larger than ``class_cap`` are a hard error, never an approximation.
+materialized as colored canonical codes (the root's color, then the
+children's codes), so equivalence checks reduce to code equality.  This
+is the recursion of :mod:`treesym.counting` with explicit classes: a
+sibling class contributes the code sets of its size that admit a perfect
+matching between siblings and the codes available to each, and the
+proper variant bars from each child's pool the codes that lead with its
+parent's color.  Representative sets larger than ``class_cap`` are a hard
+error, never an approximation.
 """
 
 from __future__ import annotations
@@ -154,18 +157,19 @@ def _class_selections(members, avail) -> list:
     return out
 
 
-def _combine(v: int, colors, class_data, class_cap: int, witnesses: bool) -> dict:
-    """Representative set at ``v`` from per-class valid selections."""
+def _combine(v: int, colors, class_data, class_cap: int, witnesses: bool,
+             result: dict):
+    """Add to ``result`` the representative codes at ``v`` from per-class
+    valid selections, for the given root colors."""
     predicted = len(colors)
-    for selections, _, _ in class_data:
+    for selections, _ in class_data:
         predicted *= len(selections)
         if predicted > class_cap:
             raise ClassCapError(
                 f"representative set at vertex {v} exceeds cap {class_cap}"
             )
-    result: dict = {}
-    for color in sorted(colors):
-        for combo in itertools.product(*(sel for sel, _, _ in class_data)):
+    for color in colors:
+        for combo in itertools.product(*(sel for sel, _ in class_data)):
             merged = []
             for codes, _ in combo:
                 merged.extend(codes)
@@ -174,82 +178,43 @@ def _combine(v: int, colors, class_data, class_cap: int, witnesses: bool) -> dic
                 result[code] = None
                 continue
             witness = {v: color}
-            for (codes, assign), (_, members, member_sets) in zip(combo, class_data):
+            for (codes, assign), (_, member_sets) in zip(combo, class_data):
                 for i, w_code in enumerate(codes):
-                    member = members[assign[i]]
                     witness.update(member_sets[assign[i]][w_code])
             result[code] = witness
-    return result
 
 
 def _rep_sets(rt: RootedTree, assignment: ListAssignment, class_cap: int,
-              witnesses: bool) -> dict:
+              witnesses: bool, proper: bool = False,
+              skip_root: bool = False) -> dict:
     """Per vertex: one colored code (with optional witness coloring) per
-    equivalence class of distinguishing list colorings of its subtree."""
-    sets: dict = {}
-    for v in reversed(rt.bfs_order):
-        class_data = []
-        for cls in rt.sibling_classes(v):
-            member_sets = [sets[m] for m in cls.members]
-            selections = _class_selections(cls.members, member_sets)
-            class_data.append((selections, cls.members, member_sets))
-        sets[v] = _combine(v, assignment.get(v), class_data, class_cap, witnesses)
-    return sets
-
-
-def _proper_rep_sets(rt: RootedTree, assignment: ListAssignment, class_cap: int,
-                     witnesses: bool, skip_root: bool = False) -> dict:
-    """Like :func:`_rep_sets`, keyed by (vertex, root color), restricted to
-    proper colorings; children never reuse their parent's color."""
+    equivalence class of distinguishing list colorings of its subtree,
+    proper ones on request.  Each code leads with its root's color."""
     sets: dict = {}
     for v in reversed(rt.bfs_order):
         if skip_root and v == rt.root:
             continue
-        for color in sorted(assignment.get(v)):
+        classes = rt.sibling_classes(v)
+        colors = sorted(assignment.get(v))
+        sets[v] = result = {}
+        # plain: every root color at once; proper: each root color on its
+        # own, with the children's codes of that color dropped from their pools
+        for pinned in (colors if proper else [None]):
             class_data = []
-            for cls in rt.sibling_classes(v):
-                member_sets = []
-                for m in cls.members:
-                    pool: dict = {}
-                    for c2 in assignment.get(m):
-                        if c2 != color:
-                            pool.update(sets[(m, c2)])
-                    member_sets.append(pool)
-                selections = _class_selections(cls.members, member_sets)
-                class_data.append((selections, cls.members, member_sets))
-            sets[(v, color)] = _combine(v, [color], class_data, class_cap,
-                                        witnesses)
+            for cls in classes:
+                member_sets = [
+                    sets[m] if pinned is None
+                    else {code: w for code, w in sets[m].items() if code[0] != pinned}
+                    for m in cls.members
+                ]
+                class_data.append((_class_selections(cls.members, member_sets),
+                                   member_sets))
+            _combine(v, colors if pinned is None else [pinned], class_data,
+                     class_cap, witnesses, result)
     return sets
 
 
 # -- public operations -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RepresentativeSet:
-    """One colored canonical code per equivalence class of distinguishing
-    list colorings of a rooted subtree."""
-
-    codes: frozenset
-
-    @property
-    def size(self) -> int:
-        return len(self.codes)
-
-
-def representative_set(rt: RootedTree, assignment: ListAssignment,
-                       root_color: int | None = None,
-                       class_cap: int = DEFAULT_CLASS_CAP) -> RepresentativeSet:
-    """Representative codes for the whole tree; with ``root_color`` the
-    proper variant with the root pinned to that color."""
-    assignment.require_cover(rt.n)
-    if root_color is None:
-        sets = _rep_sets(rt, assignment, class_cap, witnesses=False)
-        return RepresentativeSet(frozenset(sets[rt.root]))
-    if root_color not in assignment.get(rt.root):
-        raise ValueError(f"color {root_color} is not in the root's list")
-    sets = _proper_rep_sets(rt, assignment, class_cap, witnesses=False)
-    return RepresentativeSet(frozenset(sets[(rt.root, root_color)]))
 
 
 def count_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
@@ -270,19 +235,19 @@ def count_proper_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
     classes at u and v with different colors at u and v."""
     if root_color is None and rt.subdivided:
         assignment.require_cover(rt.origin_count)
-        sets = _proper_rep_sets(rt, assignment, class_cap, witnesses=False,
-                                skip_root=True)
+        sets = _rep_sets(rt, assignment, class_cap, witnesses=False,
+                         proper=True, skip_root=True)
         u, v = rt.children[rt.root]
-        return BigCount(len({frozenset((a, b))
-                             for cu in assignment.get(u)
-                             for cv in assignment.get(v) if cu != cv
-                             for a in sets[(u, cu)] for b in sets[(v, cv)]}))
+        return BigCount(len({frozenset((a, b)) for a in sets[u] for b in sets[v]
+                             if a[0] != b[0]}))
     assignment.require_cover(rt.n)
     if root_color is not None and root_color not in assignment.get(rt.root):
         raise ValueError(f"color {root_color} is not in the root's list")
-    sets = _proper_rep_sets(rt, assignment, class_cap, witnesses=False)
-    colors = assignment.get(rt.root) if root_color is None else (root_color,)
-    return BigCount(sum(len(sets[(rt.root, c)]) for c in colors))
+    codes = _rep_sets(rt, assignment, class_cap, witnesses=False,
+                      proper=True)[rt.root]
+    if root_color is None:
+        return BigCount(len(codes))
+    return BigCount(sum(1 for code in codes if code[0] == root_color))
 
 
 @dataclass(frozen=True)
@@ -335,33 +300,27 @@ def construct_list_distinguishing_coloring(
             raise AssertionError("constructed coloring failed verification")
         return coloring
 
+    sets = _rep_sets(rt, assignment, class_cap, witnesses=True, proper=True,
+                     skip_root=rt.subdivided)
     if not rt.subdivided:
-        sets = _proper_rep_sets(rt, assignment, class_cap, witnesses=True)
-        for color in sorted(assignment.get(rt.root)):
-            pool = sets[(rt.root, color)]
-            if pool:
-                coloring = Coloring(dict(pool[min(pool)]))
-                _verify_proper(verify_on, coloring)
-                return coloring
-        return None
+        pool = sets[rt.root]
+        if not pool:
+            return None
+        coloring = Coloring(dict(pool[min(pool)]))
+        _verify_proper(verify_on, coloring)
+        return coloring
 
-    # edge-centered proper case: color the two halves independently with
-    # different colors at the central endpoints, then glue
-    sets = _proper_rep_sets(rt, assignment, class_cap, witnesses=True,
-                            skip_root=True)
+    # edge-centered: glue the least code of u's half that some code of v's
+    # half differs from at the central edge, and the least such code of v's
     u, v = rt.children[rt.root]
-    for cu in sorted(assignment.get(u)):
-        for cv in sorted(assignment.get(v)):
-            if cu == cv:
-                continue
-            pu, pv = sets[(u, cu)], sets[(v, cv)]
-            if pu and pv:
-                merged = dict(pu[min(pu)])
-                merged.update(pv[min(pv)])
-                coloring = Coloring(merged)
-                _verify_proper(verify_on, coloring)
-                return coloring
-    return None
+    v_colors = {code[0] for code in sets[v]}
+    a = min((code for code in sets[u] if v_colors - {code[0]}), default=None)
+    if a is None:
+        return None
+    b = min(code for code in sets[v] if code[0] != a[0])
+    coloring = Coloring({**sets[u][a], **sets[v][b]})
+    _verify_proper(verify_on, coloring)
+    return coloring
 
 
 def _verify_proper(t, coloring: Coloring):

@@ -4,8 +4,10 @@ from treesym import (
     Coloring,
     CountTable,
     brute_chromatic_distinguishing_number,
+    brute_count_classes,
     brute_distinguishing_number,
     chi_certificate,
+    coloring_orbit_form,
     colorings_equivalent,
     construct_distinguishing_coloring,
     construct_proper_distinguishing_coloring,
@@ -77,27 +79,31 @@ def test_parameters_accept_rooted_input():
 
 
 def test_parameter_search_pass_counts(monkeypatch):
-    passes = []
-    for name in ("_distinguishing_pass", "_proper_pass"):
-        real = getattr(counting, name)
+    rows = []
+    real = counting._pinned_pass
 
-        def counted(*args, _real=real, _name=name):
-            passes.append(_name)
-            return _real(*args)
+    def counted(rt, a, icap):
+        rows.append(a)
+        return real(rt, a, icap)
 
-        monkeypatch.setattr(counting, name, counted)
+    monkeypatch.setattr(counting, "_pinned_pass", counted)
     # the criterion-8 trees: the leaf bound is D, so one pass finds it
     for n, d in ((10_000, 5), (100_000, 6)):
         t = random_tree(n, seed="acceptance-perf")
         assert to_rooted(t).leaf_bound() == d
-        passes.clear()
+        rows.clear()
         assert distinguishing_number(t) == d
-        assert passes == ["_distinguishing_pass"]
+        assert rows == [d]
     # D, chi_D and the certificate share one table
     t = random_tree(10_000, seed="pass-count")
-    passes.clear()
+    rows.clear()
     _analyze_one(t, witness=False, counts_k=None)
-    assert 1 <= len(passes) <= 4
+    assert 1 <= len(rows) <= 4
+    # an odd path: D = 2 from the probe at k = 1, and chi_D = 3 reads the
+    # rows a = 1 (proper at D) and a = 2 (proper at D + 1) the D search built
+    rows.clear()
+    assert parameters(path(7))[:2] == (2, 3)
+    assert sorted(rows) == [1, 2]
 
 
 # -- unrank / rank ----------------------------------------------------------------
@@ -175,15 +181,25 @@ def test_unrank_proper_examples(p3):
 
 
 def test_unrank_proper_is_proper_everywhere():
-    for n in range(2, 7):
+    # every root color and index gives a proper distinguishing coloring, no
+    # two of them equivalent, as many as brute force counts
+    for n in range(1, 8):
         for rt in nonisomorphic_rooted_trees(n):
             table = CountTable(rt)
-            for k in (2, 3):
-                total = table.proper_raw(rt.root, k)
-                for i in range(total):
-                    col = unrank_proper_distinguishing(rt, k, 1, i)
-                    assert is_proper(rt, col)
-                    assert is_distinguishing(rt, col)
+            for k in (1, 2, 3):
+                pinned = table.proper_raw(rt.root, k)
+                forms = set()
+                for color in range(1, k + 1):
+                    for i in range(pinned):
+                        col = unrank_proper_distinguishing(rt, k, color, i)
+                        assert col.colors[rt.root] == color
+                        assert is_proper(rt, col)
+                        assert is_distinguishing(rt, col)
+                        forms.add(coloring_orbit_form(rt, col))
+                    with pytest.raises(CountIndexError):
+                        unrank_proper_distinguishing(rt, k, color, pinned)
+                assert len(forms) == k * pinned
+                assert k * pinned == brute_count_classes(rt, k, proper=True).value
 
 
 # -- properize -----------------------------------------------------------------
@@ -311,3 +327,27 @@ def test_construct_proper_parity_case():
     col = construct_proper_distinguishing_coloring(t, 2)
     assert is_proper(t, col) and is_distinguishing(t, col)
     assert set(col.colors.values()) == {1, 2}
+
+
+def test_input_tree_indices_are_a_bijection():
+    # every index below the input tree's count yields a (proper)
+    # distinguishing coloring, no two of them equivalent, and there are as
+    # many as brute force counts
+    for t in all_trees_up_to(7):
+        table = CountTable(to_rooted(t))
+        for k in (1, 2, 3):
+            for proper, total, construct in (
+                    (False, table.tree_distinguishing(k),
+                     construct_distinguishing_coloring),
+                    (True, table.tree_proper(k),
+                     construct_proper_distinguishing_coloring)):
+                forms = set()
+                for i in range(total):
+                    col = construct(t, k, i)
+                    assert is_distinguishing(t, col)
+                    assert not proper or is_proper(t, col)
+                    forms.add(coloring_orbit_form(t, col))
+                assert len(forms) == total
+                assert total == brute_count_classes(t, k, proper=proper).value
+                with pytest.raises(CountIndexError if total else NoColoringError):
+                    construct(t, k, total)

@@ -140,21 +140,6 @@ def test_list_counts_and_witnesses_match_oracle(n, rnd):
             == (proper > 0))
 
 
-def test_representative_set_matches_counts():
-    from treesym import representative_set
-
-    rng = random.Random(77)
-    for rt in nonisomorphic_rooted_trees(5):
-        la = ListAssignment.from_dict(
-            {v: rng.sample(range(1, 6), 2) for v in range(rt.n)}
-        )
-        reps = representative_set(rt, la)
-        assert reps.size == count_list_distinguishing(rt, la).value
-        i = min(la.get(rt.root))
-        preps = representative_set(rt, la, root_color=i)
-        assert preps.size == count_proper_list_distinguishing(rt, la, i).value
-
-
 def test_class_cap_is_hard_error():
     rt = to_rooted(star(6))
     with pytest.raises(ClassCapError):
