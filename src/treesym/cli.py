@@ -131,7 +131,7 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
         }
     else:
         ctr = sorted(base.labels[v] for v in
-                     (rt.children[rt.root] if rt.subdivided else (rt.root,)))
+                     (rt.halves or (rt.root,)))
         summary = {
             "n": base.n,
             "kind": "tree",

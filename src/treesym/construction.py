@@ -135,9 +135,9 @@ def _certificate(table: CountTable, k: int) -> Certificate | None:
     ids = rt.code_ids()
     for v in rt.bfs_order:
         if short[ids[v]]:
-            for cls in rt.sibling_classes(v):
-                if (k - 1) * row[cls.code_id] < cls.size:
-                    return Certificate(v, cls.members, k, degenerate=False)
+            for cid, members in rt.sibling_groups(v):
+                if (k - 1) * row[cid] < len(members):
+                    return Certificate(v, tuple(members), k, degenerate=False)
     return None
 
 
@@ -213,18 +213,18 @@ def _unrank(table: CountTable, k: int, proper: bool, start: int,
         out[v] = color
         infos = []
         block = 1
-        for cls in rt.sibling_classes(v):
-            f = row[cls.code_id]
-            b = comb(a * f, cls.size)
-            infos.append((cls, f, b))
+        for cid, members in rt.sibling_groups(v):
+            f = row[cid]
+            b = comb(a * f, len(members))
+            infos.append((members, f, b))
             block *= b
         allowed = [c for c in palette if c != color] if proper else palette
         rem = ix
-        for cls, f, b in infos:
+        for members, f, b in infos:
             block //= b
-            slots = _subset_unrank_desc(rem // block, cls.size)
+            slots = _subset_unrank_desc(rem // block, len(members))
             rem %= block
-            for child, slot in zip(cls.members, slots):
+            for child, slot in zip(members, slots):
                 stack.append((child, allowed[slot // f], slot % f))
     return out
 
@@ -258,16 +258,16 @@ def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
         if not 1 <= colors[v] <= k:
             raise ValueError(f"color {colors[v]} at vertex {v} outside 1..{k}")
     row = CountTable(rt).row(k)
-    ranks: dict = {}
+    ranks = [0] * rt.n
     for v in reversed(rt.bfs_order):
         idx = colors[v] - 1
-        for cls in rt.sibling_classes(v):
-            rs = sorted(ranks[c] for c in cls.members)
-            if len(set(rs)) != cls.size:
+        for cid, members in rt.sibling_groups(v):
+            rs = sorted(ranks[c] for c in members)
+            if len(set(rs)) != len(rs):
                 raise NotDistinguishingError(
                     f"children of vertex {v} carry equivalent colorings"
                 )
-            idx = idx * comb(k * row[cls.code_id], cls.size) + _subset_rank(rs)
+            idx = idx * comb(k * row[cid], len(rs)) + _subset_rank(rs)
         ranks[v] = idx
     return BigCount(ranks[rt.root])
 
@@ -383,7 +383,7 @@ def construct_proper_distinguishing_coloring(t, k: int | None = None,
     if not 0 <= idx < total:
         raise CountIndexError(f"index {idx} outside [0, {total})")
     # the subdivided root must not take part: u and v are adjacent
-    u, v = rt.children[rt.root]
+    u, v = rt.halves
     fv = table.proper_raw(v, k)
     pair, rem = divmod(idx, table.proper_raw(u, k) * fv)
     cu, cv = _central_colors(k, rt.code_id(u) == rt.code_id(v), pair)

@@ -189,7 +189,7 @@ class CountTable:
         rt = self.rt
         if not rt.subdivided:
             return k * self.proper_raw(rt.root, k)
-        u, v = rt.children[rt.root]
+        u, v = rt.halves
         total = k * (k - 1) * self.proper_raw(u, k) * self.proper_raw(v, k)
         return total // 2 if rt.code_id(u) == rt.code_id(v) else total
 

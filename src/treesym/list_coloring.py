@@ -194,20 +194,20 @@ def _rep_sets(rt: RootedTree, assignment: ListAssignment, class_cap: int,
     for v in reversed(rt.bfs_order):
         if skip_root and v == rt.root:
             continue
-        classes = rt.sibling_classes(v)
+        classes = [members for _, members in rt.sibling_groups(v)]
         colors = sorted(assignment.get(v))
         sets[v] = result = {}
         # plain: every root color at once; proper: each root color on its
         # own, with the children's codes of that color dropped from their pools
         for pinned in (colors if proper else [None]):
             class_data = []
-            for cls in classes:
+            for members in classes:
                 member_sets = [
                     sets[m] if pinned is None
                     else {code: w for code, w in sets[m].items() if code[0] != pinned}
-                    for m in cls.members
+                    for m in members
                 ]
-                class_data.append((_class_selections(cls.members, member_sets),
+                class_data.append((_class_selections(members, member_sets),
                                    member_sets))
             _combine(v, colors if pinned is None else [pinned], class_data,
                      class_cap, witnesses, result)
@@ -237,7 +237,7 @@ def count_proper_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
         assignment.require_cover(rt.origin_count)
         sets = _rep_sets(rt, assignment, class_cap, witnesses=False,
                          proper=True, skip_root=True)
-        u, v = rt.children[rt.root]
+        u, v = rt.halves
         return BigCount(len({frozenset((a, b)) for a in sets[u] for b in sets[v]
                              if a[0] != b[0]}))
     assignment.require_cover(rt.n)
@@ -312,7 +312,7 @@ def construct_list_distinguishing_coloring(
 
     # edge-centered: glue the least code of u's half that some code of v's
     # half differs from at the central edge, and the least such code of v's
-    u, v = rt.children[rt.root]
+    u, v = rt.halves
     v_colors = {code[0] for code in sets[v]}
     a = min((code for code in sets[u] if v_colors - {code[0]}), default=None)
     if a is None:

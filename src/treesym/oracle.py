@@ -68,9 +68,11 @@ def _check_total(colors: dict, n: int):
 
 
 def _group_order(rt: RootedTree, bound: int) -> int:
+    ids = rt.code_ids()
+    _, mults = rt.class_structure()
     order = 1
     for v in rt.bfs_order:
-        for mult in rt.grouped_children(v).values():
+        for _, mult in mults[ids[v]]:
             order *= factorial(mult)
             if order > bound:
                 raise EnumerationBoundError(

@@ -9,6 +9,7 @@ routine in the package leans on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidTreeError, TreeSyntaxError
@@ -218,8 +219,7 @@ class RootedTree:
         self._child_span = span
         self._children: tuple | None = None
         self._code_ids: tuple | None = None
-        self._strings: dict | None = None
-        self._ranks: dict | None = None
+        self._order: list | None = None
         self._sizes: tuple | None = None
         self._class_structure: tuple | None = None
 
@@ -240,10 +240,17 @@ class RootedTree:
         if self._base is None:
             t = self._source
             x = self.root
-            u, v = sorted(self.children[x])
+            u, v = sorted(self.halves)
             edges = [e for e in t.edges if e != (u, v)] + [(u, x), (v, x)]
             self._base = Tree._trusted(t.labels + (self._center_label,), edges)
         return self._base
+
+    @property
+    def halves(self) -> tuple:
+        """The central vertices a subdivided view's synthetic root splits,
+        in BFS order, or ``()`` on any other view; read from ``bfs_order``
+        without materializing ``children``."""
+        return self.bfs_order[1:3] if self.subdivided else ()
 
     @property
     def n(self) -> int:
@@ -326,36 +333,6 @@ class RootedTree:
         self.code_ids()
         return len(self._class_structure[0])
 
-    def _class_strings(self) -> dict:
-        # one balanced-parenthesis string per distinct class, built on demand;
-        # children sorted by their own strings makes the result canonical
-        if self._strings is None:
-            ids = self.code_ids()
-            strings: dict = {}
-            for v in reversed(self.bfs_order):
-                cid = ids[v]
-                if cid not in strings:
-                    parts = sorted(strings[ids[c]] for c in self.children[v])
-                    strings[cid] = "(" + "".join(parts) + ")"
-            self._strings = strings
-        return self._strings
-
-    def _class_ranks(self) -> dict:
-        if self._ranks is None:
-            strings = self._class_strings()
-            ordered = sorted(strings, key=strings.__getitem__)
-            self._ranks = {cid: i for i, cid in enumerate(ordered)}
-        return self._ranks
-
-    def grouped_children(self, v: int) -> dict:
-        """Multiplicity of each child class below ``v`` (unordered, fast)."""
-        ids = self.code_ids()
-        out: dict = {}
-        for c in self.children[v]:
-            cid = ids[c]
-            out[cid] = out.get(cid, 0) + 1
-        return out
-
     def class_structure(self) -> tuple:
         """``(order, mults)``: distinct class ids listed children-first, and
         per class the (child class id, multiplicity) pairs of one
@@ -363,23 +340,97 @@ class RootedTree:
         self.code_ids()
         return self._class_structure
 
+    def _class_order(self) -> list:
+        # computed once, on the first request for an order: count passes
+        # and the parameter searches never need it
+        if self._order is None:
+            self.code_ids()
+            self._order = _code_order(self._class_structure[1], self.n)
+        return self._order
+
+    def sibling_groups(self, v: int) -> list:
+        """``(class id, members)`` per sibling class below ``v``, classes in
+        the order of their codes and members ascending by vertex id.  Reads
+        the class order computed once for the whole tree, so only the
+        children of ``v`` are sorted, by one integer key each."""
+        rank = self._class_order()
+        ids = self._code_ids
+        n = self.n
+        span = self._child_span
+        kids = self.bfs_order[span[2 * v]:span[2 * v + 1]]
+        if len(kids) > 1:
+            kids = sorted(kids, key=lambda w: rank[ids[w]] * n + w)
+        groups = itertools.groupby(kids, key=ids.__getitem__)
+        return [(cid, list(ms)) for cid, ms in groups]
+
     def sibling_classes(self, v: int) -> tuple:
         """Partition of the children of ``v`` into isomorphism classes,
         ordered by the codes of their representatives."""
-        ids = self.code_ids()
-        ranks = self._class_ranks()
-        groups: dict = {}
-        for c in self.children[v]:
-            groups.setdefault(ids[c], []).append(c)
-        ordered = sorted(groups.items(), key=lambda kv: ranks[kv[0]])
         return tuple(
-            ChildClass(members=tuple(sorted(ms)), representative=min(ms), code_id=cid)
-            for cid, ms in ordered
+            ChildClass(members=tuple(ms), representative=ms[0], code_id=cid)
+            for cid, ms in self.sibling_groups(v)
         )
+
+    def _code(self, cid: int) -> str:
+        # parenthesis string of one class, by iterative DFS over the child
+        # classes in code order; -1 on the stack closes a group
+        rank = self._class_order()
+        mults = self._class_structure[1]
+        out = []
+        stack = [cid]
+        while stack:
+            c = stack.pop()
+            if c < 0:
+                out.append(")")
+            elif mults[c]:
+                out.append("(")
+                stack.append(-1)
+                for child, m in sorted(mults[c], key=lambda p: rank[p[0]], reverse=True):
+                    stack.extend([child] * m)
+            else:
+                out.append("()")
+        return "".join(out)
 
     def __repr__(self):
         tag = ", subdivided" if self.subdivided else ""
         return f"RootedTree(n={self.n}, root={self.root}{tag})"
+
+
+def _code_order(mults, big: int) -> list:
+    """Every class's position in the order of the classes' parenthesis
+    codes, found without building a code.
+
+    A code opens with one ``(`` per level of height, so taller classes
+    come first.  Classes of equal height compare the sequences of their
+    children's classes, each ascending in this same order, entry by entry;
+    a sequence that is a proper prefix of another comes after it, since
+    ``)`` sorts after ``(``.  ``mults`` lists each class's (child class,
+    multiplicity) pairs, children-first, and ``big`` exceeds every
+    multiplicity.
+    """
+    n_cls = len(mults)
+    height = [0] * n_cls
+    for cid, ps in enumerate(mults):
+        for c, _ in ps:
+            if height[c] >= height[cid]:
+                height[cid] = height[c] + 1
+    # levels are ranked from the leaves up, each taking the ranks just
+    # before the levels below it.  A child entry encodes (rank, -copies):
+    # of two sequences that agree up to a run of one child class, the one
+    # with more copies sorts first, as its next copy meets a later class
+    # or the other sequence's end.  Keys are tuples of ints, which the
+    # cyclic garbage collector stops tracking
+    rank = [0] * n_cls
+    free = n_cls
+    end = n_cls * big
+    by_height = sorted(range(n_cls), key=height.__getitem__)
+    for _, level in itertools.groupby(by_height, key=height.__getitem__):
+        keyed = sorted(((*sorted([rank[c] * big - m for c, m in mults[cid]]), end), cid)
+                       for cid in level)
+        free -= len(keyed)
+        for i, (_, cid) in enumerate(keyed):
+            rank[cid] = free + i
+    return rank
 
 
 @dataclass(frozen=True)
@@ -401,7 +452,7 @@ def canonical_code(rt: RootedTree, v: int) -> str:
     """
     if not 0 <= v < rt.n:
         raise InvalidTreeError(f"vertex id {v} out of range")
-    return rt._class_strings()[rt.code_id(v)]
+    return rt._code(rt.code_id(v))
 
 
 def to_rooted(t: Tree) -> RootedTree:
@@ -576,4 +627,4 @@ def to_edge_list(t) -> str:
 
 def to_parens(rt: RootedTree) -> str:
     """Canonical parenthesis string of the whole rooted tree."""
-    return rt._class_strings()[rt.code_id(rt.root)]
+    return rt._code(rt.code_id(rt.root))

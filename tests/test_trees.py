@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from treesym import (
     to_rooted,
     vertex_orbits,
 )
+from treesym.construction import parameters
 from treesym.errors import InvalidTreeError, TreeSyntaxError
 from treesym.families import (
     all_trees_up_to,
@@ -32,6 +34,7 @@ from treesym.families import (
 )
 
 from conftest import tree_from
+from reference import sibling_order, vertex_strings
 
 
 # -- parsing ---------------------------------------------------------------
@@ -196,6 +199,67 @@ def test_code_lengths():
         sizes = rt.subtree_sizes()
         for v in range(rt.n):
             assert len(canonical_code(rt, v)) == 2 * sizes[v]
+
+
+def _assert_order_matches_reference(rt):
+    strings = vertex_strings(rt)
+    assert to_parens(rt) == strings[rt.root]
+    for v in range(rt.n):
+        assert canonical_code(rt, v) == strings[v]
+        assert [c.members for c in rt.sibling_classes(v)] == sibling_order(rt, strings, v)
+
+
+def _caterpillar(spine: int, leaves: int) -> Tree:
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(s, spine + s * leaves + j) for s in range(spine) for j in range(leaves)]
+    return Tree([str(i) for i in range(spine * (1 + leaves))], edges)
+
+
+def _complete_binary(height: int) -> Tree:
+    n = 2 ** (height + 1) - 1
+    return Tree([str(i) for i in range(n)], [((i - 1) // 2, i) for i in range(1, n)])
+
+
+def test_class_order_matches_code_strings_small():
+    # the string-free order against codes built naively, at every vertex,
+    # center-rooted and rooted at vertex 0
+    for t in all_trees_up_to(10):
+        _assert_order_matches_reference(to_rooted(t))
+        _assert_order_matches_reference(RootedTree(t, 0))
+
+
+@pytest.mark.parametrize("t", [
+    random_tree(1000, seed="order-1"),
+    random_tree(1000, seed="order-2"),
+    spider(5, 5, 4, 4, 4, 1),
+    _caterpillar(41, 3),
+    _complete_binary(7),
+    path(401),
+    path(400),
+], ids=["prufer-1", "prufer-2", "spider", "caterpillar", "binary", "odd-path", "even-path"])
+def test_class_order_matches_code_strings_large(t):
+    _assert_order_matches_reference(to_rooted(t))
+
+
+def test_parameters_memory_linear_on_paths():
+    # code strings on a path take quadratic memory; the class order must not
+    peaks = []
+    for n in (5001, 10001):
+        t = path(n)
+        tracemalloc.start()
+        try:
+            parameters(t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 3 * peaks[0]
+
+
+def test_to_parens_deep_path():
+    rt = RootedTree(path(100_000), 0)
+    code = to_parens(rt)
+    assert len(code) == 200_000
+    assert code == "(" * 100_000 + ")" * 100_000
 
 
 def test_codes_match_backtracking_isomorphism():
