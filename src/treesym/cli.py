@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -39,6 +40,7 @@ from .errors import (
     TreeSyntaxError,
 )
 from .list_coloring import (
+    ListAssignment,
     construct_list_distinguishing_coloring,
     count_list_distinguishing,
     count_proper_list_distinguishing,
@@ -375,6 +377,23 @@ def cmd_selftest(args) -> int:
                     tree_agree = False
         check(f"counts match exhaustive enumeration at n={n}", agree)
         check(f"input-tree counts match exhaustive enumeration at n={n}", tree_agree)
+
+    top = min(max_n, 6)
+    ok = True
+    rng = random.Random(6)
+    for n in range(1, top + 1):
+        for t in families.nonisomorphic_trees(n):
+            for proper, k in ((False, distinguishing_number(t)),
+                              (True, distinguishing_chromatic_number(t))):
+                lists = ListAssignment.from_dict(
+                    {v: rng.sample(range(1, 2 * k + 1), k) for v in range(n)})
+                col = construct_list_distinguishing_coloring(t, lists, proper=proper)
+                if (col is None or any(col[v] not in lists.get(v) for v in range(n))
+                        or not oracle.is_distinguishing(t, col)
+                        or (proper and not oracle.is_proper(t, col))):
+                    ok = False
+    check(f"lists of size D (chi_D if proper) admit verified witnesses up to n={top}",
+          ok)
 
     top = min(max_n, 7)
     agree = True

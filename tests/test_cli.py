@@ -1,11 +1,19 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from treesym import brute_count_classes, cli, to_edge_list, to_rooted
+from treesym import (
+    brute_count_classes,
+    cli,
+    distinguishing_chromatic_number,
+    distinguishing_number,
+    to_edge_list,
+    to_rooted,
+)
 from treesym.families import all_trees_up_to, path, random_tree, star
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -251,6 +259,29 @@ def test_color_list_without_match_exit_4(tmp_path):
     lists = tmp_path / "l.txt"
     lists.write_text("hub: 1\na: 1\nb: 1\n")
     assert run_cli("color", str(tree), "--list", str(lists)).returncode == 4
+
+
+@pytest.mark.parametrize("shape,proper", [("prufer-2000", False), ("prufer-2000", True),
+                                          ("star-12", False), ("star-12", True)])
+def test_color_list_at_parameter(tmp_path, shape, proper):
+    # lists of size D (chi_D for proper) always admit a witness, at any size
+    t = random_tree(2000, seed="cli-lists") if shape == "prufer-2000" else star(12)
+    k = (distinguishing_chromatic_number if proper else distinguishing_number)(t)
+    rng = random.Random(shape)
+    lists = {s: rng.sample(range(1, 2 * k + 1), k) for s in t.labels}
+    tree = tmp_path / "t.txt"
+    tree.write_text(to_edge_list(t))
+    list_file = tmp_path / "lists.txt"
+    list_file.write_text("".join(f"{s}: {','.join(map(str, cs))}\n" for s, cs in lists.items()))
+    flags = ["--proper"] if proper else []
+    colored = run_cli("color", str(tree), "--list", str(list_file), *flags)
+    assert colored.returncode == 0, colored.stderr
+    got = dict(line.split() for line in colored.stdout.splitlines())
+    assert all(int(got[s]) in lists[s] for s in t.labels)
+    col_file = tmp_path / "col.txt"
+    col_file.write_text(colored.stdout)
+    out = run_cli("verify", str(tree), str(col_file), *flags)
+    assert out.returncode == 0 and out.stdout.startswith("PASS")
 
 
 def test_certify(k13_file, p4_file):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from treesym import (
     ListAssignment,
+    RootedTree,
+    Tree,
     brute_count_classes,
     check_orbit_list_equality,
     construct_list_distinguishing_coloring,
@@ -31,6 +34,8 @@ from treesym.families import (
     spider,
     star,
 )
+from treesym.list_coloring import _selections
+from treesym.trees import distinguishes
 
 
 def uniform(rt, colors):
@@ -141,9 +146,21 @@ def test_list_counts_and_witnesses_match_oracle(n, rnd):
 
 
 def test_class_cap_is_hard_error():
+    # each refusal names its bound and the bound's value
     rt = to_rooted(star(6))
-    with pytest.raises(ClassCapError):
+    with pytest.raises(ClassCapError, match="class_cap=5 "):
         count_list_distinguishing(rt, uniform(rt, range(1, 9)), class_cap=5)
+    rt = to_rooted(star(8))
+    with pytest.raises(ClassCapError, match="2,000,000 code sets, the combination limit"):
+        count_list_distinguishing(rt, uniform(rt, range(1, 31)))
+
+
+def test_list_count_wide_sibling_class():
+    # one sibling class of 1500 leaves, matched without recursion
+    t = star(1500)
+    rt = to_rooted(t)
+    la = ListAssignment.from_dict({v: [v + 1] for v in range(t.n)})
+    assert count_list_distinguishing(rt, la).value == 1
 
 
 # -- orbit/list equality ------------------------------------------------------------
@@ -261,3 +278,79 @@ def test_construct_always_succeeds_at_parameter():
             colp = construct_list_distinguishing_coloring(t, lap, proper=True)
             assert colp is not None
             assert all(colp.colors[v] in lap.get(v) for v in range(t.n))
+
+
+def test_selections_match_brute_force():
+    # up to `limit` distinct valid selections, and all of them below the limit
+    rng = random.Random(99)
+    for _ in range(1500):
+        s = rng.randint(1, 4)
+        universe = range(rng.randint(1, 7))
+        pools = [rng.sample(universe, rng.randint(1, len(universe))) for _ in range(s)]
+        valid = {frozenset(combo) for combo in itertools.product(*pools)
+                 if len(set(combo)) == s}
+        for limit in (1, 2, 3, 5, 100):
+            got = _selections(pools, limit)
+            assert all(len(sel) == s and sel[i] in pools[i]
+                       for sel in got for i in range(s))
+            assert {frozenset(sel) for sel in got} <= valid
+            assert len({frozenset(sel) for sel in got}) == len(got) == min(limit, len(valid))
+
+
+def _checked_witness(t, la, proper):
+    col = construct_list_distinguishing_coloring(t, la, proper=proper)
+    if col is not None:
+        assert all(col.colors[v] in la.get(v) for v in range(t.n))
+        assert distinguishes(t, col)
+        assert not proper or is_proper(t, col)
+    return col
+
+
+def test_witness_exists_iff_count_positive():
+    # every tree up to 8 vertices, as an input tree and rooted at vertex 0
+    rng = random.Random(4242)
+    for t in all_trees_up_to(8):
+        for x in (t, RootedTree(t, 0)):
+            rt = x if isinstance(x, RootedTree) else to_rooted(x)
+            for _ in range(3):
+                la = ListAssignment.from_dict(
+                    {v: rng.sample(range(1, 5), rng.randint(1, 3)) for v in range(t.n)})
+                work = (la.extended(rt.subdivision_vertex, {la.max_color() + 1})
+                        if rt.subdivided else la)
+                for proper in (False, True):
+                    count = (count_proper_list_distinguishing(rt, la) if proper
+                             else count_list_distinguishing(rt, work)).value
+                    col = _checked_witness(x, la, proper)
+                    assert (col is not None) == (count > 0)
+                    if col is not None:
+                        assert is_distinguishing(x, col)
+
+
+def _binary(height: int) -> Tree:
+    n = 2 ** (height + 1) - 1
+    return Tree(range(n), [((i - 1) // 2, i) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("shape", ["prufer-1000", "prufer-10000", "star-300",
+                                   "spider", "binary-9"])
+def test_witnesses_at_parameter_at_scale(shape):
+    # D_l = D and chi_Dl = chi_D: lists of those sizes always admit a witness
+    t = {"prufer-1000": lambda: random_tree(1000, seed="lists-1000"),
+         "prufer-10000": lambda: random_tree(10_000, seed="lists-10000"),
+         "star-300": lambda: star(300),
+         "spider": lambda: spider(40, 40, 40, 40, 25, 25, 10),
+         "binary-9": lambda: _binary(9)}[shape]()
+    rng = random.Random(shape)
+    for proper, k in ((False, distinguishing_number(t)),
+                      (True, distinguishing_chromatic_number(t))):
+        la = ListAssignment.from_dict(
+            {v: rng.sample(range(1, 2 * k + 1), k) for v in range(t.n)})
+        assert _checked_witness(t, la, proper) is not None
+
+
+def test_witness_on_deep_path():
+    t = path(100_000)
+    rng = random.Random(7)
+    la = ListAssignment.from_dict({v: rng.sample(range(1, 5), 2) for v in range(t.n)})
+    assert _checked_witness(t, la, False) is not None
+    _checked_witness(t, la, True)
