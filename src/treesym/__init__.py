@@ -39,7 +39,6 @@ from .oracle import (
     brute_chromatic_distinguishing_number,
     brute_count_classes,
     brute_distinguishing_number,
-    colorings_equivalent,
     coloring_orbit_form,
     enumerate_automorphisms,
     is_distinguishing,

@@ -48,12 +48,6 @@ class BigCount:
         if not self.saturated and self.cap is not None and self.value >= self.cap:
             raise ValueError("an exact count must lie strictly below its cap")
 
-    @classmethod
-    def clamp(cls, value: int, cap: int | None = None) -> "BigCount":
-        if cap is not None and value >= cap:
-            return cls(cap, True, cap)
-        return cls(value, False, cap)
-
     def __int__(self):
         return self.value
 

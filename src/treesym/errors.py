@@ -18,8 +18,9 @@ class EnumerationBoundError(RuntimeError):
 
 
 class ClassCapError(RuntimeError):
-    """A representative set grew past the configured cap; the instance is
-    too large for exact list counting."""
+    """A vertex has more classes of distinguishing list colorings than the
+    list-count functions' ``class_cap`` keeps; the instance is too large
+    for exact list counting."""
 
 
 class SaturatedCountError(RuntimeError):

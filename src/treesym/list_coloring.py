@@ -1,24 +1,27 @@
-"""List-variant counting, exact at desk scale, and list witnesses at any size.
+"""List-variant counts and witnesses, by one class enumerator.
 
-Counts materialize every subtree's equivalence classes of distinguishing
-list colorings as colored canonical codes (the root's color, then the
-children's codes), so equivalence checks reduce to code equality.  This
+Each subtree's equivalence classes of distinguishing list colorings are
+interned as colored classes (the root's color, then the sorted ids of the
+children's classes), so equivalence checks reduce to id equality.  This
 is the recursion of :mod:`treesym.counting` with explicit classes: a
-sibling class contributes the code sets of its size that admit a perfect
-matching between siblings and the codes available to each, and the
-proper variant bars from each child's pool the codes that lead with its
-parent's color.  Representative sets larger than ``class_cap`` are a hard
-error, never an approximation.
+sibling class contributes the sets of pairwise distinct classes, one per
+member, that match perfectly onto its members, and the proper variant
+bars from each child's pool the classes that lead with its parent's color.
 
-Witnesses keep only as many classes per vertex as its parent can use
-(the need rule of :func:`_list_witness`), so they need no cap.
+Witnesses keep only as many classes per vertex as its parent can use (the
+need rule of :func:`_list_witness`), so they need no cap.  Counts keep
+every class below the root, and a vertex with more than ``class_cap``
+classes for one root color is a hard error, never an approximation.  The
+root's classes are counted, not built, so the count itself may exceed
+``class_cap``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import prod
 
 from .construction import Coloring
 from .counting import BigCount
@@ -33,7 +36,6 @@ from .trees import (
 )
 
 DEFAULT_CLASS_CAP = 100_000
-_COMBINATION_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -169,72 +171,7 @@ def _match(left, nbrs) -> dict | None:
     return owner
 
 
-# -- representative sets (counts) -------------------------------------------
-
-
-def _class_selections(avail) -> list:
-    """All valid code sets for one sibling class: size-m subsets of the
-    union of the members' representative codes that match perfectly onto
-    the m members."""
-    universe = sorted(set().union(*avail))
-    m = len(avail)
-    if comb(len(universe), m) > _COMBINATION_LIMIT:
-        raise ClassCapError(
-            f"sibling class of size {m} over {len(universe)} codes has more"
-            f" than {_COMBINATION_LIMIT:,} code sets, the combination limit"
-            " (_COMBINATION_LIMIT, fixed in treesym.list_coloring)"
-        )
-    holders = {c: [j for j, codes in enumerate(avail) if c in codes] for c in universe}
-    return [codes for codes in itertools.combinations(universe, m)
-            if _match(codes, holders.__getitem__) is not None]
-
-
-def _combine(v: int, colors, selections, class_cap: int, result: set):
-    """Add to ``result`` the representative codes at ``v`` from per-class
-    valid selections, for the given root colors."""
-    predicted = len(colors)
-    for sel in selections:
-        predicted *= len(sel)
-        if predicted > class_cap:
-            raise ClassCapError(
-                f"representative set at vertex {v} exceeds the class cap,"
-                f" class_cap={class_cap} (the class_cap argument of the"
-                " list-count functions)"
-            )
-    for color in colors:
-        for combo in itertools.product(*selections):
-            result.add((color, tuple(sorted(itertools.chain.from_iterable(combo)))))
-
-
-def _rep_sets(rt: RootedTree, assignment: ListAssignment, class_cap: int,
-              proper: bool = False, skip_root: bool = False) -> dict:
-    """Per vertex: one colored code per equivalence class of distinguishing
-    list colorings of its subtree, proper ones on request.  Each code leads
-    with its root's color."""
-    sets: dict = {}
-    for v in reversed(rt.bfs_order):
-        if skip_root and v == rt.root:
-            continue
-        classes = [members for _, members in rt.sibling_groups(v)]
-        colors = sorted(assignment.get(v))
-        sets[v] = result = set()
-        # plain: every root color at once; proper: each root color on its
-        # own, with the children's codes of that color dropped from their pools
-        for pinned in (colors if proper else [None]):
-            selections = [
-                _class_selections([
-                    sets[m] if pinned is None
-                    else {code for code in sets[m] if code[0] != pinned}
-                    for m in members
-                ])
-                for members in classes
-            ]
-            _combine(v, colors if pinned is None else [pinned], selections,
-                     class_cap, result)
-    return sets
-
-
-# -- need-bounded witnesses ----------------------------------------------------
+# -- class enumeration -------------------------------------------------------
 
 
 def _selections(pools: list, limit: int) -> list:
@@ -308,6 +245,73 @@ def _flip(assign: list, p: int, x, pos: dict, pools: list, owners: dict):
     return new
 
 
+def _cap_error(rt: RootedTree, v: int, pinned, class_cap: int) -> ClassCapError:
+    colored = "" if pinned is None else f" colored {pinned}"
+    return ClassCapError(
+        f"vertex {rt.labels[v]!r}{colored} has more than class_cap={class_cap}"
+        " classes (the class_cap argument of the list-count functions)"
+    )
+
+
+def _picks(made: list, members: list, pinned, limit: int) -> list:
+    """Up to ``limit`` selections for each sibling class in ``members``,
+    under a parent colored ``pinned`` (None for any color).  Each member
+    offers its classes of other colors, cut at s + limit - 1 for a class
+    of size s: if a member was cut, any choice for the other s - 1 members
+    leaves it ``limit``; if none was, the pools are complete."""
+    return [
+        _selections([
+            [c for c, (col, _) in made[m].items() if col != pinned][:len(ms) + limit - 1]
+            for m in ms
+        ], limit)
+        for ms in members
+    ]
+
+
+def _classes(rt: RootedTree, assignment: ListAssignment, proper: bool,
+             groups: list, need: list, skip_root: bool,
+             class_cap: int | None = None) -> list | None:
+    """Bottom-up, up to ``need[v]`` distinct colored classes at each vertex
+    (the root last, unless skipped), or None once a vertex has none.
+
+    Per vertex, a dict from class id to (color, the selections that formed
+    it).  Classes are interned as (color, sorted child class ids), as in
+    :func:`treesym.trees.distinguishes`, so equal ids mean equivalent
+    colorings.  Proper classes are formed per root color, from the
+    children's classes of other colors.
+
+    Without ``class_cap`` these are the witness's classes: a proper vertex
+    tries its colors in order and stops once, for every color its parent
+    might take, its classes of the other colors meet its need; the root,
+    which has no parent, stops at its first class.  With ``class_cap``,
+    every need is ``class_cap + 1`` and a vertex reaching it for one root
+    color raises :class:`ClassCapError`, so every set kept is complete.
+    """
+    table: dict = {}
+    made: list = [None] * rt.n
+    for v in (rt.bfs_order[:0:-1] if skip_root else reversed(rt.bfs_order)):
+        made[v] = mine = {}
+        colors = sorted(assignment.get(v))
+        most = 0
+        for pinned in (colors if proper else [None]):
+            sels = _picks(made, groups[v], pinned, need[v])
+            combos = itertools.product(colors if pinned is None else [pinned], *sels)
+            before = len(mine)
+            for color, *picks in itertools.islice(combos, need[v]):
+                key = (color, tuple(sorted(itertools.chain.from_iterable(picks))))
+                mine[table.setdefault(key, len(table))] = (color, picks)
+            most = max(most, len(mine) - before)
+            if class_cap is not None:
+                if most > class_cap:
+                    raise _cap_error(rt, v, pinned, class_cap)
+            # the parent's color bars at most the largest color's classes
+            elif len(mine) - (0 if v == rt.root else most) >= need[v]:
+                break
+        if not mine:
+            return None
+    return made
+
+
 def _list_witness(rt: RootedTree, assignment: ListAssignment,
                   proper: bool) -> dict | None:
     """Colors of a distinguishing (proper on request) coloring of ``rt``
@@ -315,59 +319,24 @@ def _list_witness(rt: RootedTree, assignment: ListAssignment,
 
     Need, top-down: the root needs one class, and each member of a sibling
     class of size s under a vertex that needs j classes needs s + j - 1.
-    That suffices: if a member was cut at s + j - 1, any choice for the
-    other s - 1 members leaves it j; if none was, the pools are complete.
-
-    Classes, bottom-up: each vertex keeps up to its need of distinct
-    colored classes, interned as (color, sorted child class ids) as in
-    :func:`treesym.trees.distinguishes`, each with the selections that
-    formed it.  Proper needs hold per root color: a vertex colored c draws
-    only on its children's classes of other colors, up to each child's
-    need.  A proper vertex tries its colors in order and stops once, for
-    every color its parent might take, its classes of the other colors
-    meet its need; the root, which has no parent, stops at its first
-    class.  On an edge-centered tree the two halves need one class each,
-    so each stops at two colors, and they are glued with different colors
-    at the central edge.  The coloring is then rebuilt top-down from the
-    kept selections.
+    Classes, bottom-up, by :func:`_classes`, each with the selections that
+    formed it; proper needs hold per root color.  On an edge-centered tree
+    the two halves need one class each, so each stops at two colors, and
+    they are glued with different colors at the central edge.  The
+    coloring is then rebuilt top-down from the kept selections.
     """
     root = rt.root
     glue = proper and rt.subdivided
-    groups: list = [()] * rt.n
+    groups = [[ms for _, ms in rt.sibling_groups(v)] for v in range(rt.n)]
     need = [1] * rt.n
     for v in rt.bfs_order:
-        groups[v] = [ms for _, ms in rt.sibling_groups(v)]
         if not (glue and v == root):
             for ms in groups[v]:
                 for m in ms:
                     need[m] = len(ms) + need[v] - 1
-    table: dict = {}
-    made: list = [None] * rt.n  # per vertex: class id -> (color, selections)
-    for v in reversed(rt.bfs_order):
-        if glue and v == root:
-            break
-        made[v] = mine = {}
-        colors = sorted(assignment.get(v))
-        most = 0
-        for pinned in (colors if proper else [None]):
-            sels = [
-                _selections([
-                    [c for c, (col, _) in made[m].items() if col != pinned][:need[m]]
-                    for m in ms
-                ], need[v])
-                for ms in groups[v]
-            ]
-            combos = itertools.product(colors if pinned is None else [pinned], *sels)
-            before = len(mine)
-            for color, *picks in itertools.islice(combos, need[v]):
-                key = (color, tuple(sorted(itertools.chain.from_iterable(picks))))
-                mine[table.setdefault(key, len(table))] = (color, picks)
-            most = max(most, len(mine) - before)
-            # the parent's color bars at most the largest color's classes
-            if len(mine) - (0 if v == root else most) >= need[v]:
-                break
-        if not mine:
-            return None
+    made = _classes(rt, assignment, proper, groups, need, skip_root=glue)
+    if made is None:
+        return None
     if glue:
         u, w = rt.halves
         start = next(((a, b) for a, (ca, _) in made[u].items()
@@ -386,6 +355,40 @@ def _list_witness(rt: RootedTree, assignment: ListAssignment,
     return out
 
 
+def _count(rt: RootedTree, assignment: ListAssignment, proper: bool,
+           class_cap: int, colors: list | None) -> int:
+    """Classes of distinguishing (proper on request) list colorings of
+    ``rt`` with the root colored from ``colors``, counted from the complete
+    class sets below the root: per root color, the product over the root's
+    sibling classes of their numbers of selections.  Without ``colors``,
+    ``rt`` is a proper edge-centered reduction, and the count is of
+    unordered pairs of half classes with different colors.
+    """
+    groups = [[ms for _, ms in rt.sibling_groups(v)] for v in range(rt.n)]
+    made = _classes(rt, assignment, proper, groups, [class_cap + 1] * rt.n,
+                    skip_root=True, class_cap=class_cap)
+    if made is None:
+        return 0
+    if colors is None:
+        # ordered pairs with different colors, less the pairs counted twice:
+        # those of two shared classes, possible only when the halves are
+        # isomorphic
+        u, w = (made[h] for h in rt.halves)
+        by_u = Counter(col for col, _ in u.values())
+        by_w = Counter(col for col, _ in w.values())
+        shared = Counter(u[c][0] for c in u.keys() & w.keys())
+        pairs = len(u) * len(w) - sum(by_u[c] * by_w[c] for c in by_u)
+        return pairs - (shared.total() ** 2 - sum(x * x for x in shared.values())) // 2
+    total = 0
+    for pinned in (colors if proper else [None]):
+        sizes = [len(sel) for sel in _picks(made, groups[rt.root], pinned, class_cap + 1)]
+        if 0 not in sizes:
+            if max(sizes, default=0) > class_cap:
+                raise _cap_error(rt, rt.root, pinned, class_cap)
+            total += prod(sizes)
+    return total if proper else total * len(colors)
+
+
 # -- public operations -----------------------------------------------------
 
 
@@ -394,7 +397,8 @@ def count_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
     """Exact number of classes of distinguishing colorings drawn from the
     given lists."""
     assignment.require_cover(rt.n)
-    return BigCount(len(_rep_sets(rt, assignment, class_cap)[rt.root]))
+    return BigCount(_count(rt, assignment, False, class_cap,
+                           sorted(assignment.get(rt.root))))
 
 
 def count_proper_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
@@ -406,17 +410,14 @@ def count_proper_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
     classes at u and v with different colors at u and v."""
     if root_color is None and rt.subdivided:
         assignment.require_cover(rt.origin_count)
-        sets = _rep_sets(rt, assignment, class_cap, proper=True, skip_root=True)
-        u, v = rt.halves
-        return BigCount(len({frozenset((a, b)) for a in sets[u] for b in sets[v]
-                             if a[0] != b[0]}))
+        return BigCount(_count(rt, assignment, True, class_cap, None))
     assignment.require_cover(rt.n)
-    if root_color is not None and root_color not in assignment.get(rt.root):
-        raise ValueError(f"color {root_color} is not in the root's list")
-    codes = _rep_sets(rt, assignment, class_cap, proper=True)[rt.root]
-    if root_color is None:
-        return BigCount(len(codes))
-    return BigCount(sum(1 for code in codes if code[0] == root_color))
+    colors = sorted(assignment.get(rt.root))
+    if root_color is not None:
+        if root_color not in colors:
+            raise ValueError(f"color {root_color} is not in the root's list")
+        colors = [root_color]
+    return BigCount(_count(rt, assignment, True, class_cap, colors))
 
 
 @dataclass(frozen=True)

@@ -180,10 +180,6 @@ def coloring_orbit_form(t, coloring, bound: int = DEFAULT_GROUP_BOUND) -> tuple:
     )
 
 
-def colorings_equivalent(t, first, second, bound: int = DEFAULT_GROUP_BOUND) -> bool:
-    return coloring_orbit_form(t, first, bound) == coloring_orbit_form(t, second, bound)
-
-
 # -- exhaustive class counting ----------------------------------------------
 
 

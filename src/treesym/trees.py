@@ -99,19 +99,11 @@ class Tree:
     def n(self) -> int:
         return len(self.labels)
 
-    def degree(self, v: int) -> int:
-        return self._adj_off[v + 1] - self._adj_off[v]
-
     def vertex_id(self, label: str) -> int:
         try:
             return self._label_ids[label]
         except KeyError:
             raise KeyError(f"unknown vertex label {label!r}") from None
-
-    def labeled_edges(self) -> frozenset:
-        return frozenset(
-            frozenset((self.labels[u], self.labels[v])) for u, v in self.edges
-        )
 
     def __repr__(self):
         return f"Tree(n={self.n})"

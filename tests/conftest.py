@@ -16,6 +16,11 @@ def tree_from(*pairs) -> Tree:
     return Tree(list(labels), edges)
 
 
+def labeled_edges(t: Tree) -> frozenset:
+    """Edges as unordered label pairs, independent of vertex ids."""
+    return frozenset(frozenset((t.labels[u], t.labels[v])) for u, v in t.edges)
+
+
 @pytest.fixture
 def p3():
     return path(3)
@@ -31,4 +36,4 @@ def k13():
     return star(3)
 
 
-__all__ = ["tree_from", "double_star", "path", "single_vertex", "spider", "star"]
+__all__ = ["tree_from", "labeled_edges", "double_star", "path", "single_vertex", "spider", "star"]

@@ -14,7 +14,7 @@ from treesym import (
     to_edge_list,
     to_rooted,
 )
-from treesym.families import all_trees_up_to, path, random_tree, star
+from treesym.families import all_trees_up_to, path, random_tree, spider, star
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -155,6 +155,18 @@ def test_count_with_lists(p4_file, tmp_path):
     out = run_cli("count", p4_file, "--list", str(lists))
     assert out.returncode == 0
     assert out.stdout.strip().isdigit()
+
+
+def test_count_list_past_class_cap(tmp_path):
+    # the root's classes are counted, not built: 495000 exceeds class_cap
+    t = spider(1, 2, 2)
+    tree = tmp_path / "t.txt"
+    tree.write_text(to_edge_list(t))
+    lists = tmp_path / "lists.txt"
+    lists.write_text("".join(f"{s}: {','.join(map(str, range(1, 11)))}\n" for s in t.labels))
+    out = run_cli("count", str(tree), "--list", str(lists))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "495000"
 
 
 def test_color_verify_roundtrip(k13_file, tmp_path):

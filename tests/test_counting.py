@@ -37,9 +37,10 @@ def test_bigcount_validation():
 
 
 def test_bigcount_clamp():
-    assert BigCount.clamp(3, 10) == BigCount(3, False, 10)
-    assert BigCount.clamp(10, 10) == BigCount(10, True, 10)
-    assert BigCount.clamp(123) == BigCount(123)
+    # a count table clamps at its cap: a leaf has k classes
+    assert count_distinguishing(leaf_rt(), 3, cap=10) == BigCount(3, False, 10)
+    assert count_distinguishing(leaf_rt(), 10, cap=10) == BigCount(10, True, 10)
+    assert count_distinguishing(leaf_rt(), 123) == BigCount(123)
 
 
 # -- plain counts ----------------------------------------------------------------

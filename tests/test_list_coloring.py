@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treesym import (
+    CountTable,
     ListAssignment,
     RootedTree,
     Tree,
@@ -34,7 +36,7 @@ from treesym.families import (
     spider,
     star,
 )
-from treesym.list_coloring import _selections
+from treesym.list_coloring import DEFAULT_CLASS_CAP, _selections
 from treesym.trees import distinguishes
 
 
@@ -146,13 +148,72 @@ def test_list_counts_and_witnesses_match_oracle(n, rnd):
 
 
 def test_class_cap_is_hard_error():
-    # each refusal names its bound and the bound's value
+    # the refusal names the vertex, its color for proper counts, and the
+    # bound with its value
     rt = to_rooted(star(6))
     with pytest.raises(ClassCapError, match="class_cap=5 "):
         count_list_distinguishing(rt, uniform(rt, range(1, 9)), class_cap=5)
+    with pytest.raises(ClassCapError, match="vertex '0' colored 1 has more than class_cap=5 "):
+        count_proper_list_distinguishing(rt, uniform(rt, range(1, 9)), class_cap=5)
     rt = to_rooted(star(8))
-    with pytest.raises(ClassCapError, match="2,000,000 code sets, the combination limit"):
+    with pytest.raises(ClassCapError, match="vertex '0' has more than class_cap=100000 "):
         count_list_distinguishing(rt, uniform(rt, range(1, 31)))
+
+
+def test_count_past_the_cap():
+    # the cap bounds the classes kept below the root, not the count
+    rt = to_rooted(spider(1, 2, 2))
+    expected = CountTable(rt).tree_distinguishing(10)
+    assert expected == 495_000 > DEFAULT_CLASS_CAP
+    assert count_list_distinguishing(rt, uniform(rt, range(1, 11))).value == expected
+    # a sibling class with no selection makes the count 0, even beside one
+    # with more than class_cap selections
+    rt = to_rooted(spider(1, 1, 1, 1, 1, 1, 2, 2))
+    la = ListAssignment.from_dict({v: [1] if v > 6 else range(1, 9) for v in range(rt.n)})
+    assert count_list_distinguishing(rt, la, class_cap=10).value == 0
+
+
+def test_small_caps_match_brute_force():
+    # every answer at a small cap is exact, and some plain counts, which
+    # are never glued from two halves, exceed the cap
+    rng = random.Random(1728)
+    past = {4: 0, 30: 0}
+    for t in all_trees_up_to(7):
+        for x in (t, RootedTree(t, 0)):
+            rt = x if isinstance(x, RootedTree) else to_rooted(x)
+            for _ in range(3):
+                la = ListAssignment.from_dict(
+                    {v: rng.sample(range(1, 6), rng.randint(1, 3)) for v in range(t.n)})
+                work = (la.extended(rt.subdivision_vertex, {la.max_color() + 1})
+                        if rt.subdivided else la)
+                # (count at a given cap, lists for the brute force, proper)
+                cases = [(partial(count_list_distinguishing, rt, work), la, False),
+                         (partial(count_proper_list_distinguishing, rt, la), la, True)]
+                if not rt.subdivided:
+                    cases += [(partial(count_proper_list_distinguishing, rt, la, c),
+                               la.extended(rt.root, {c}), True)
+                              for c in sorted(la.get(rt.root))]
+                for count, lists, proper in cases:
+                    for cap in past:
+                        try:
+                            got = count(class_cap=cap).value
+                        except ClassCapError:
+                            continue
+                        assert got == brute_count_classes(x, lists=lists, proper=proper).value
+                        past[cap] += not proper and got > cap
+    assert all(past.values())
+
+
+@pytest.mark.parametrize("proper", [False, True])
+def test_count_refuses_on_long_path(proper):
+    # a refusal on a deep tree, not a RecursionError or MemoryError
+    t = path(2001)
+    rt = to_rooted(t)
+    rng = random.Random(2001)
+    la = ListAssignment.from_dict({v: rng.sample(range(1, 6), 3) for v in range(t.n)})
+    count = count_proper_list_distinguishing if proper else count_list_distinguishing
+    with pytest.raises(ClassCapError, match="class_cap=100000 "):
+        count(rt, la)
 
 
 def test_list_count_wide_sibling_class():

@@ -9,7 +9,7 @@ from treesym import (
     brute_chromatic_distinguishing_number,
     brute_count_classes,
     brute_distinguishing_number,
-    colorings_equivalent,
+    coloring_orbit_form,
     enumerate_automorphisms,
     extract_subtree,
     is_distinguishing,
@@ -127,8 +127,10 @@ def test_coloring_requires_every_vertex():
 
 def test_colorings_equivalent():
     rt = to_rooted(star(2))
-    assert colorings_equivalent(rt, {0: 1, 1: 1, 2: 2}, {0: 1, 1: 2, 2: 1})
-    assert not colorings_equivalent(rt, {0: 1, 1: 1, 2: 2}, {0: 2, 1: 1, 2: 2})
+    assert (coloring_orbit_form(rt, {0: 1, 1: 1, 2: 2})
+            == coloring_orbit_form(rt, {0: 1, 1: 2, 2: 1}))
+    assert (coloring_orbit_form(rt, {0: 1, 1: 1, 2: 2})
+            != coloring_orbit_form(rt, {0: 2, 1: 1, 2: 2}))
 
 
 # -- exhaustive counting ------------------------------------------------------------

@@ -33,7 +33,7 @@ from treesym.families import (
     tree_from_prufer,
 )
 
-from conftest import tree_from
+from conftest import labeled_edges, tree_from
 from reference import sibling_order, vertex_strings
 
 
@@ -42,7 +42,7 @@ from reference import sibling_order, vertex_strings
 def test_parse_edge_list_p3():
     t = parse_tree("a b\nb c")
     assert t.n == 3
-    assert t.labeled_edges() == {frozenset("ab"), frozenset("bc")}
+    assert labeled_edges(t) == {frozenset("ab"), frozenset("bc")}
 
 
 def test_parse_parens_star():
@@ -171,7 +171,7 @@ def test_to_rooted_single_edge_preserves_group():
 def test_original_tree_roundtrip(p4):
     rt = to_rooted(p4)
     back = original_tree(rt)
-    assert back.labeled_edges() == p4.labeled_edges()
+    assert labeled_edges(back) == labeled_edges(p4)
 
 
 def test_synthetic_label_never_collides():
@@ -403,7 +403,7 @@ def test_distinguishes_missing_vertex():
 def test_edge_list_roundtrip():
     for t in all_trees_up_to(7):
         back = parse_tree(to_edge_list(t))
-        assert back.labeled_edges() == t.labeled_edges()
+        assert labeled_edges(back) == labeled_edges(t)
         assert set(back.labels) == set(t.labels)
 
 
@@ -419,7 +419,7 @@ def test_parens_roundtrip():
 def test_roundtrip_random_trees(n, rnd):
     t = tree_from_prufer([rnd.randrange(n) for _ in range(n - 2)])
     back = parse_tree(to_edge_list(t))
-    assert back.labeled_edges() == t.labeled_edges()
+    assert labeled_edges(back) == labeled_edges(t)
     rt = to_rooted(t)
     assert parse_tree(to_parens(rt), fmt="parens").n == rt.n
 
