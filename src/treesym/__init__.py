@@ -42,17 +42,14 @@ from .oracle import (
     coloring_orbit_form,
     enumerate_automorphisms,
     is_distinguishing,
-    is_isomorphic_rooted,
     is_proper,
 )
 from .trees import (
-    ChildClass,
     RootedTree,
     Tree,
     canonical_code,
     center,
     distinguishes,
-    extract_subtree,
     original_tree,
     parse_tree,
     to_edge_list,

@@ -74,6 +74,13 @@ def _positive_int(tok: str) -> int:
     return k
 
 
+def _selftest_size(tok: str) -> int:
+    n = int(tok)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {tok}")
+    return n
+
+
 def _load_tree(args):
     return parse_tree(_read_input(args.input), args.format)
 
@@ -234,6 +241,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.list and args.k is not None:
+        raise TreeSyntaxError("K is not supported together with --list")
     t = _load_tree(args)
     rt = t if isinstance(t, RootedTree) else to_rooted(t)
     if args.list:
@@ -255,20 +264,20 @@ def cmd_count(args) -> int:
 
 
 def cmd_color(args) -> int:
+    if args.list and (args.k is not None or args.index is not None):
+        raise TreeSyntaxError("K and --index are not supported together with --list")
     t = _load_tree(args)
     rt = t if isinstance(t, RootedTree) else to_rooted(t)
     if args.list:
-        if args.index:
-            raise TreeSyntaxError("--index is not supported together with --list")
         assignment = parse_list_file(_read_input(args.list), t)
         coloring = construct_list_distinguishing_coloring(t, assignment,
                                                           proper=args.proper)
         if coloring is None:
             raise NoColoringError("no distinguishing coloring from the given lists")
-    elif args.proper:
-        coloring = construct_proper_distinguishing_coloring(rt, args.k, args.index)
     else:
-        coloring = construct_distinguishing_coloring(rt, args.k, args.index)
+        build = (construct_proper_distinguishing_coloring if args.proper
+                 else construct_distinguishing_coloring)
+        coloring = build(rt, args.k, args.index or 0)
     for line in _coloring_lines(t, coloring):
         print(line)
     return EXIT_OK
@@ -446,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", nargs="?", type=_positive_int, default=None)
     p.add_argument("--proper", action="store_true")
     p.add_argument("--list", metavar="FILE")
-    p.add_argument("--index", type=int, default=0,
-                   help="class index of the emitted representative")
+    p.add_argument("--index", type=int,
+                   help="class index of the emitted representative (default 0)")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("certify", help="extra-color certificate or 'none'")
@@ -462,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("selftest", help="run the built-in oracle checks")
-    p.add_argument("--max-n", type=int, default=7, dest="max_n")
+    p.add_argument("--max-n", type=_selftest_size, default=7, dest="max_n")
     p.set_defaults(func=cmd_selftest)
 
     return parser

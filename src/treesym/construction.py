@@ -12,7 +12,8 @@ color ascending, then sibling classes in code order, then within a class
 the strictly decreasing tuple of slot ranks in subset-rank order, where
 slot (c, i) has rank (position of c among the open colors) * f_a + i.
 It exists purely to make counts, ranks, and constructed witnesses
-deterministic and bijective.
+deterministic and bijective.  Searches, certificate and witnesses read one
+saturating table (``_table``); only :func:`rank_distinguishing` is exact.
 """
 
 from __future__ import annotations
@@ -77,7 +78,10 @@ def _exact_index(index) -> int:
                 "index is a saturated count; rerun the count uncapped"
             )
         return index.value
-    return int(index)
+    idx = int(index)
+    if idx < 0:
+        raise CountIndexError(f"index {idx} is negative")
+    return idx
 
 
 def _least_positive_k(positive, start: int = 1, limit: int | None = None) -> int:
@@ -102,11 +106,12 @@ def _least_positive_k(positive, start: int = 1, limit: int | None = None) -> int
     return hi
 
 
-def _saturating_table(t) -> CountTable:
-    # every saturated entry is at least n+1, more than any class size, so
-    # positivity and the certificate's pool comparisons stay exact
-    rt = _as_rooted(t)
-    return CountTable(rt, cap=rt.n + 1)
+def _table(t, idx: int = 0) -> CountTable:
+    # entries clamp at max(idx, n) + 1, above every class size, so the
+    # searches and the certificate stay exact, and above idx: the walker
+    # splits idx as from exact counts, as an entry below the cap is exact
+    # and a clamped one exceeds every digit split off idx (quotient 0)
+    return CountTable(_as_rooted(t), cap=idx + 1)
 
 
 def _search_d(table: CountTable) -> int:
@@ -135,7 +140,7 @@ def _certificate(table: CountTable, k: int) -> Certificate | None:
     ids = rt.code_ids()
     for v in rt.bfs_order:
         if short[ids[v]]:
-            for cid, members in rt.sibling_groups(v):
+            for cid, members in rt.sibling_classes(v):
                 if (k - 1) * row[cid] < len(members):
                     return Certificate(v, tuple(members), k, degenerate=False)
     return None
@@ -144,11 +149,11 @@ def _certificate(table: CountTable, k: int) -> Certificate | None:
 def distinguishing_number(t) -> int:
     """Least k admitting a distinguishing k-coloring.
 
-    Uses saturating counts (cap n+1) and searches upward from the leaf
+    Uses saturating counts (clamped at n+1) and searches upward from the leaf
     bound of :meth:`RootedTree.leaf_bound`, linearly and then by doubling
     and bisection, so it stays fast on large trees.
     """
-    return _search_d(_saturating_table(t))
+    return _search_d(_table(t))
 
 
 def distinguishing_chromatic_number(t) -> int:
@@ -157,7 +162,7 @@ def distinguishing_chromatic_number(t) -> int:
     Searched upward from the distinguishing number on the same saturating
     table, as the least k with :meth:`CountTable.tree_proper` positive.
     """
-    table = _saturating_table(t)
+    table = _table(t)
     return _search_chi(table, _search_d(table))
 
 
@@ -165,7 +170,7 @@ def parameters(t) -> tuple:
     """``(D, chi_D, certificate)``, as :func:`distinguishing_number`,
     :func:`distinguishing_chromatic_number` and :func:`chi_certificate`
     return them, from one saturating count table and one search for D."""
-    table = _saturating_table(t)
+    table = _table(t)
     d = _search_d(table)
     return d, _search_chi(table, d), _certificate(table, d)
 
@@ -213,7 +218,7 @@ def _unrank(table: CountTable, k: int, proper: bool, start: int,
         out[v] = color
         infos = []
         block = 1
-        for cid, members in rt.sibling_groups(v):
+        for cid, members in rt.sibling_classes(v):
             f = row[cid]
             b = comb(a * f, len(members))
             infos.append((members, f, b))
@@ -229,23 +234,23 @@ def _unrank(table: CountTable, k: int, proper: bool, start: int,
     return out
 
 
-def _unrank_led(table: CountTable, k: int, proper: bool, total: int,
-                idx: int) -> dict:
-    # index over all k root colors of the total classes; the root color
-    # leads, as in rank order
-    if not 0 <= idx < total:
-        raise CountIndexError(f"index {idx} outside [0, {total})")
-    f = total // k
-    return _unrank(table, k, proper, table.rt.root, idx // f + 1, idx % f)
+def _unrank_led(table: CountTable, k: int, proper: bool, idx: int) -> dict:
+    # index over the k root colors, f classes each; the root color leads,
+    # as in rank order.  A clamped f exceeds idx, giving root color 1
+    rt = table.rt
+    f = table.row(k - 1 if proper else k)[rt.code_id(rt.root)]
+    if not 0 <= idx < k * f:
+        raise CountIndexError(f"index {idx} outside [0, {k * f})")
+    return _unrank(table, k, proper, rt.root, idx // f + 1, idx % f)
 
 
 def unrank_distinguishing(rt: RootedTree, k: int, index) -> Coloring:
     """Canonical representative of the index-th class of distinguishing
     k-colorings; distinct indices yield inequivalent colorings."""
     idx = _exact_index(index)
-    table = CountTable(rt)
-    return Coloring(_unrank_led(table, k, False,
-                                table.distinguishing_raw(rt.root, k), idx))
+    if k < 1:
+        raise ValueError("palette size k must be at least 1")
+    return Coloring(_unrank_led(_table(rt, idx), k, False, idx))
 
 
 def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
@@ -261,7 +266,7 @@ def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
     ranks = [0] * rt.n
     for v in reversed(rt.bfs_order):
         idx = colors[v] - 1
-        for cid, members in rt.sibling_groups(v):
+        for cid, members in rt.sibling_classes(v):
             rs = sorted(ranks[c] for c in members)
             if len(set(rs)) != len(rs):
                 raise NotDistinguishingError(
@@ -278,8 +283,8 @@ def unrank_proper_distinguishing(rt: RootedTree, k: int, root_color: int,
     k-colorings with the root colored ``root_color``."""
     if not 1 <= root_color <= k:
         raise ValueError(f"root color {root_color} outside 1..{k}")
-    return Coloring(_unrank(CountTable(rt), k, True, rt.root, root_color,
-                            _exact_index(index)))
+    idx = _exact_index(index)
+    return Coloring(_unrank(_table(rt, idx), k, True, rt.root, root_color, idx))
 
 
 # -- properization and certificates ----------------------------------------
@@ -311,7 +316,7 @@ def chi_certificate(t) -> Certificate | None:
     pair in BFS and class order is the certificate.  One exists exactly
     when :meth:`CountTable.tree_proper` is zero at k.
     """
-    table = _saturating_table(t)
+    table = _table(t)
     return _certificate(table, _search_d(table))
 
 
@@ -325,20 +330,19 @@ def construct_distinguishing_coloring(t, k: int | None = None,
     The root color leads the index; an edge-centered tree's synthetic root
     is pinned to color 1 and dropped from the result."""
     rt = _as_rooted(t)
-    if k is None:
-        k = distinguishing_number(rt)
     idx = _exact_index(index)
-    table = CountTable(rt)
-    total = table.tree_distinguishing(k)
-    if not total:
+    table = _table(rt, idx)
+    if k is None:
+        k = _search_d(table)
+    if not table.tree_distinguishing(k):
         raise NoColoringError(
             f"no distinguishing {k}-coloring exists;"
-            f" need at least {distinguishing_number(rt)} colors"
+            f" need at least {_search_d(table)} colors"
         )
     if rt.subdivided:
         colors = _unrank(table, k, False, rt.root, 1, idx)
         return Coloring(colors).restricted_to(range(rt.origin_count))
-    return Coloring(_unrank_led(table, k, False, total, idx))
+    return Coloring(_unrank_led(table, k, False, idx))
 
 
 def _central_colors(k: int, twins: bool, pair: int) -> tuple:
@@ -368,18 +372,18 @@ def construct_proper_distinguishing_coloring(t, k: int | None = None,
     isomorphic; pair 0 is (1, 2)), then the class of u's half, then v's.
     """
     rt = _as_rooted(t)
-    if k is None:
-        k = distinguishing_chromatic_number(rt)
     idx = _exact_index(index)
-    table = CountTable(rt)
+    table = _table(rt, idx)
+    if k is None:
+        k = _search_chi(table, _search_d(table))
     total = table.tree_proper(k)
     if not total:
         raise NoColoringError(
             f"no proper distinguishing {k}-coloring exists;"
-            f" need at least {distinguishing_chromatic_number(rt)} colors"
+            f" need at least {_search_chi(table, _search_d(table))} colors"
         )
     if not rt.subdivided:
-        return Coloring(_unrank_led(table, k, True, total, idx))
+        return Coloring(_unrank_led(table, k, True, idx))
     if not 0 <= idx < total:
         raise CountIndexError(f"index {idx} outside [0, {total})")
     # the subdivided root must not take part: u and v are adjacent

@@ -327,7 +327,7 @@ def _list_witness(rt: RootedTree, assignment: ListAssignment,
     """
     root = rt.root
     glue = proper and rt.subdivided
-    groups = [[ms for _, ms in rt.sibling_groups(v)] for v in range(rt.n)]
+    groups = [[ms for _, ms in rt.sibling_classes(v)] for v in range(rt.n)]
     need = [1] * rt.n
     for v in rt.bfs_order:
         if not (glue and v == root):
@@ -364,7 +364,7 @@ def _count(rt: RootedTree, assignment: ListAssignment, proper: bool,
     ``rt`` is a proper edge-centered reduction, and the count is of
     unordered pairs of half classes with different colors.
     """
-    groups = [[ms for _, ms in rt.sibling_groups(v)] for v in range(rt.n)]
+    groups = [[ms for _, ms in rt.sibling_classes(v)] for v in range(rt.n)]
     made = _classes(rt, assignment, proper, groups, [class_cap + 1] * rt.n,
                     skip_root=True, class_cap=class_cap)
     if made is None:

@@ -331,40 +331,3 @@ def brute_chromatic_distinguishing_number(
         if _search_distinguishing(t, k, True, node_bound, group_bound) is not None:
             return k
     raise AssertionError("all-distinct colors are proper and distinguishing")
-
-
-# -- rooted isomorphism by backtracking ---------------------------------------
-
-
-def is_isomorphic_rooted(a: RootedTree, b: RootedTree) -> bool:
-    """Root-preserving isomorphism test by plain backtracking, independent
-    of canonical codes."""
-    if a.n != b.n:
-        return False
-    sa, sb = a.subtree_sizes(), b.subtree_sizes()
-    da, db = a.depth, b.depth
-
-    def match(x: int, y: int) -> bool:
-        cx, cy = a.children[x], b.children[y]
-        if len(cx) != len(cy) or sa[x] != sb[y]:
-            return False
-        if sorted(sa[c] for c in cx) != sorted(sb[c] for c in cy):
-            return False
-        used = [False] * len(cy)
-
-        def assign(i: int) -> bool:
-            if i == len(cx):
-                return True
-            for j in range(len(cy)):
-                if not used[j] and match(cx[i], cy[j]):
-                    used[j] = True
-                    if assign(i + 1):
-                        return True
-                    used[j] = False
-            return False
-
-        return assign(0)
-
-    if da and db and max(da) != max(db):
-        return False
-    return match(a.root, b.root)

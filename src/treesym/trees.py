@@ -10,7 +10,6 @@ routine in the package leans on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InvalidTreeError, TreeSyntaxError
 
@@ -340,7 +339,7 @@ class RootedTree:
             self._order = _code_order(self._class_structure[1], self.n)
         return self._order
 
-    def sibling_groups(self, v: int) -> list:
+    def sibling_classes(self, v: int) -> list:
         """``(class id, members)`` per sibling class below ``v``, classes in
         the order of their codes and members ascending by vertex id.  Reads
         the class order computed once for the whole tree, so only the
@@ -354,14 +353,6 @@ class RootedTree:
             kids = sorted(kids, key=lambda w: rank[ids[w]] * n + w)
         groups = itertools.groupby(kids, key=ids.__getitem__)
         return [(cid, list(ms)) for cid, ms in groups]
-
-    def sibling_classes(self, v: int) -> tuple:
-        """Partition of the children of ``v`` into isomorphism classes,
-        ordered by the codes of their representatives."""
-        return tuple(
-            ChildClass(members=tuple(ms), representative=ms[0], code_id=cid)
-            for cid, ms in self.sibling_groups(v)
-        )
 
     def _code(self, cid: int) -> str:
         # parenthesis string of one class, by iterative DFS over the child
@@ -425,17 +416,6 @@ def _code_order(mults, big: int) -> list:
     return rank
 
 
-@dataclass(frozen=True)
-class ChildClass:
-    members: tuple
-    representative: int
-    code_id: int
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 def canonical_code(rt: RootedTree, v: int) -> str:
     """Canonical balanced-parenthesis code of the subtree rooted at ``v``.
 
@@ -473,20 +453,6 @@ def original_tree(rt: RootedTree) -> Tree:
     """The tree a rooted view was built from: for a subdivided view of
     :func:`to_rooted`, the input tree itself, without the synthetic vertex."""
     return rt._source
-
-
-def extract_subtree(rt: RootedTree, v: int) -> RootedTree:
-    """The subtree of ``rt`` rooted at ``v``, as a standalone rooted tree."""
-    verts = []
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        verts.append(x)
-        stack.extend(rt.children[x])
-    remap = {x: i for i, x in enumerate(verts)}
-    labels = [rt.base.labels[x] for x in verts]
-    edges = [(remap[rt.parent[x]], remap[x]) for x in verts if x != v]
-    return RootedTree(Tree(labels, edges), 0)
 
 
 def vertex_orbits(rt: RootedTree) -> tuple:

@@ -21,9 +21,7 @@ from treesym import (
     count_list_distinguishing,
     distinguishing_chromatic_number,
     distinguishing_number,
-    extract_subtree,
     is_distinguishing,
-    is_isomorphic_rooted,
     is_proper,
     properize,
     rank_distinguishing,
@@ -37,6 +35,8 @@ from treesym.families import (
     random_tree,
     star,
 )
+
+from reference import extract_subtree, is_isomorphic_rooted
 
 
 def all_trees(max_n):

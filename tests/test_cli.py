@@ -357,6 +357,21 @@ def test_color_list_index_combination_rejected(p4_file, tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("color", "7"),
+    ("count", "7"),
+    ("color", "--index", "0"),
+], ids=["color-k", "count-k", "color-index-0"])
+def test_list_refuses_k_and_index(p4_file, tmp_path, argv):
+    # lists fix the palette and the witness, so K or --index beside --list
+    # would be ignored; an explicit --index 0 is refused like any other
+    lists = tmp_path / "lists.txt"
+    lists.write_text("a: 1,2\nb: 1,2\nc: 1,2\nd: 1,2\n")
+    out = run_cli(argv[0], p4_file, *argv[1:], "--list", str(lists))
+    assert out.returncode == 2
+    assert out.stdout == ""
+
+
 def test_color_proper_index_on_edge_centered(p4_file):
     # indexable proper witnesses for edge-centered trees enumerate pairs of
     # half classes; P4 at k=3 has several
@@ -364,6 +379,14 @@ def test_color_proper_index_on_edge_centered(p4_file):
     second = run_cli("color", p4_file, "3", "--proper", "--index", "1")
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout != second.stdout
+
+
+@pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+def test_selftest_refuses_max_n_below_2(max_n):
+    # below two vertices there is nothing to check, so no PASS either
+    out = run_cli("selftest", "--max-n", max_n)
+    assert out.returncode == 2
+    assert "PASS" not in out.stdout
 
 
 def test_selftest():

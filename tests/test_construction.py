@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from treesym import (
@@ -14,9 +16,7 @@ from treesym import (
     distinguishing_chromatic_number,
     distinguishing_number,
     enumerate_automorphisms,
-    extract_subtree,
     is_distinguishing,
-    is_isomorphic_rooted,
     is_proper,
     properize,
     rank_distinguishing,
@@ -45,6 +45,7 @@ from treesym.families import (
 )
 
 from conftest import tree_from
+from reference import extract_subtree, is_isomorphic_rooted
 
 
 def leaf_rt():
@@ -105,6 +106,49 @@ def test_parameter_search_pass_counts(monkeypatch):
     assert sorted(rows) == [1, 2]
 
 
+def test_witnesses_reuse_the_parameter_passes(monkeypatch):
+    passes = []
+    real = counting._pinned_pass
+
+    def counted(rt, a, icap):
+        passes.append((a, icap))
+        return real(rt, a, icap)
+
+    monkeypatch.setattr(counting, "_pinned_pass", counted)
+    # a witness at the parameter reads the rows its own search built, on
+    # one saturating table, and never an exact row
+    for t in (random_tree(2000, seed="witness-passes"), path(41), path(40),
+              star(5), double_star(2, 2)):
+        for param, witness in ((distinguishing_number, construct_distinguishing_coloring),
+                               (distinguishing_chromatic_number,
+                                construct_proper_distinguishing_coloring)):
+            passes.clear()
+            param(t)
+            searched = list(passes)
+            passes.clear()
+            witness(t)
+            assert passes == searched
+        passes.clear()
+        _analyze_one(t, witness=True, counts_k=None)
+        assert passes and all(icap is not None for _, icap in passes)
+
+
+def test_witness_memory_linear_on_paths():
+    # exact rows on a path grow quadratically in bits; the witness's
+    # saturating rows must not
+    peaks = []
+    for n in (10001, 20001):
+        t = path(n)
+        to_rooted(t).code_ids()
+        tracemalloc.start()
+        try:
+            construct_distinguishing_coloring(t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0]
+
+
 # -- unrank / rank ----------------------------------------------------------------
 
 def test_unrank_leaf():
@@ -125,6 +169,11 @@ def test_unrank_bad_index():
         unrank_distinguishing(rt, 2, 2)
     with pytest.raises(CountIndexError):
         unrank_distinguishing(rt, 1, 0)
+    # a negative index is refused before any count is taken
+    for build in (construct_distinguishing_coloring,
+                  construct_proper_distinguishing_coloring):
+        with pytest.raises(CountIndexError, match="index -1 is negative"):
+            build(path(9), 3, -1)
 
 
 def test_unrank_rejects_saturated_index():

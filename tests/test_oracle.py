@@ -11,9 +11,7 @@ from treesym import (
     brute_distinguishing_number,
     coloring_orbit_form,
     enumerate_automorphisms,
-    extract_subtree,
     is_distinguishing,
-    is_isomorphic_rooted,
     is_proper,
     to_rooted,
 )
@@ -25,6 +23,8 @@ from treesym.families import (
     spider,
     star,
 )
+
+from reference import extract_subtree, is_isomorphic_rooted
 
 
 # -- groups ------------------------------------------------------------------
