@@ -94,17 +94,17 @@ def _parse_color(tok: str) -> int:
 
 
 def _coloring_lines(t, coloring: Coloring) -> list:
-    base = t.base if isinstance(t, RootedTree) else t
+    labels = t.labels
     out = []
-    for v in sorted(coloring.colors, key=lambda v: base.labels[v]):
-        out.append(f"{base.labels[v]} {_render_color(coloring.colors[v])}")
+    for v in sorted(coloring.colors, key=lambda v: labels[v]):
+        out.append(f"{labels[v]} {_render_color(coloring.colors[v])}")
     return out
 
 
 def _coloring_json(t, coloring: Coloring) -> dict:
-    base = t.base if isinstance(t, RootedTree) else t
+    labels = t.labels
     return {
-        base.labels[v]: ("*" if c == STAR_COLOR else c)
+        labels[v]: ("*" if c == STAR_COLOR else c)
         for v, c in coloring.colors.items()
     }
 
@@ -112,10 +112,11 @@ def _coloring_json(t, coloring: Coloring) -> dict:
 def _certificate_json(rt: RootedTree, cert) -> dict | None:
     if cert is None:
         return None
+    labels = rt.labels
     return {
-        "vertex": rt.labels[cert.vertex],
+        "vertex": labels[cert.vertex],
         "synthetic_vertex": rt.is_synthetic(cert.vertex),
-        "children": sorted(rt.base.labels[c] for c in cert.children),
+        "children": sorted(labels[c] for c in cert.children),
         "k": cert.k,
         "degenerate": cert.degenerate,
     }

@@ -134,9 +134,10 @@ def _certificate(table: CountTable, k: int) -> Certificate | None:
     # a class of m siblings needs m distinct proper colorings of its
     # representative, and only (k-1) * proper(rep, k) of them exist
     row = table.row(k - 1)
-    _, mults = rt.class_structure()
-    short = [any((k - 1) * row[c] < m for c, m in mults[cid])
-             for cid in range(len(row))]
+    short = [False] * len(row)
+    for cid, c, m in zip(*rt.class_structure()):
+        if (k - 1) * row[c] < m:
+            short[cid] = True
     ids = rt.code_ids()
     for v in rt.bfs_order:
         if short[ids[v]]:
@@ -183,14 +184,29 @@ def _subset_rank(sorted_asc) -> int:
 
 
 def _subset_unrank_desc(r: int, m: int) -> list:
-    """The m-subset with subset rank r, as a strictly decreasing list."""
+    """The m-subset with subset rank r, as a strictly decreasing list.
+
+    Each element is the largest c with C(c, i) <= r, found by galloping
+    up from c = i - 1 and then bisecting, so the work grows with the bit
+    length of r rather than with its value."""
     out = []
     for i in range(m, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= r:
-            c += 1
-        out.append(c)
-        r -= comb(c, i)
+        if i == 1:
+            out.append(r)  # C(c, 1) = c
+            break
+        lo, step = i - 1, 1
+        while comb(lo + step, i) <= r:
+            lo += step
+            step *= 2
+        hi = lo + step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if comb(mid, i) <= r:
+                lo = mid
+            else:
+                hi = mid
+        out.append(lo)
+        r -= comb(lo, i)
     return out
 
 

@@ -96,21 +96,18 @@ def _binom(top: int, m: int, icap: int | None) -> int:
 
 def _pinned_pass(rt: RootedTree, a: int, icap: int | None) -> list:
     """f_a per class id: classes of colorings with the root color pinned
-    and ``a`` colors open to each child."""
-    order, mults = rt.class_structure()
-    table: list = [None] * len(order)
-    for cid in order:
-        val = 1
-        for ccid, mult in mults[cid]:
-            slots = a * table[ccid]
-            if icap is not None and slots >= icap:
-                slots = icap
-            val *= slots if mult == 1 else _binom(slots, mult, icap)
-            if val == 0:
-                break
-            if icap is not None and val >= icap:
-                val = icap
-        table[cid] = val
+    and ``a`` colors open to each child.  One loop over the flat class
+    structure: a class's pairs come after those of its child classes, so
+    each pair multiplies its factor into a product that is complete by
+    the time any parent reads it."""
+    owner, kids, mults = rt.class_structure()
+    table: list = [1] * rt.class_count()
+    for cid, ccid, mult in zip(owner, kids, mults):
+        slots = a * table[ccid]
+        if icap is not None and slots >= icap:
+            slots = icap
+        val = table[cid] * (slots if mult == 1 else _binom(slots, mult, icap))
+        table[cid] = icap if icap is not None and val >= icap else val
     return table
 
 

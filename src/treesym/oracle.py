@@ -49,8 +49,9 @@ def _vertex_count(t) -> int:
     return t.n if isinstance(t, (Tree, RootedTree)) else len(t)
 
 
-def _edge_pairs(t):
-    return t.base.edges if isinstance(t, RootedTree) else t.edges
+def _edge_pairs(t) -> list:
+    ends = (t.base if isinstance(t, RootedTree) else t)._ends
+    return list(zip(ends[0::2], ends[1::2]))
 
 
 def _as_colors(coloring) -> dict:
@@ -69,15 +70,17 @@ def _check_total(colors: dict, n: int):
 
 def _group_order(rt: RootedTree, bound: int) -> int:
     ids = rt.code_ids()
-    _, mults = rt.class_structure()
+    owner, _, mults = rt.class_structure()
+    swaps = [1] * rt.class_count()
+    for cid, mult in zip(owner, mults):
+        swaps[cid] *= factorial(mult)
     order = 1
     for v in rt.bfs_order:
-        for _, mult in mults[ids[v]]:
-            order *= factorial(mult)
-            if order > bound:
-                raise EnumerationBoundError(
-                    f"automorphism group order exceeds bound {bound}"
-                )
+        order *= swaps[ids[v]]
+        if order > bound:
+            raise EnumerationBoundError(
+                f"automorphism group order exceeds bound {bound}"
+            )
     return order
 
 
@@ -263,8 +266,9 @@ def _search_distinguishing(t, k: int, proper: bool,
     completes_at: list = [[] for _ in range(n)]
     for v in range(n):
         completes_at[pos[v] + sizes[v] - 1].append(v)
+    depth = rt.depth
     for bucket in completes_at:
-        bucket.sort(key=lambda v: -rt.depth[v])
+        bucket.sort(key=lambda v: -depth[v])
 
     colors: dict = {}
     forms: dict = {}

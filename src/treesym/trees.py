@@ -1,15 +1,18 @@
 """Tree structures, parsing, centers, rooted reductions, and canonical codes.
 
 Vertices are dense integer ids ``0..n-1`` bound to external string labels.
-A :class:`RootedTree` adds parent/children arrays plus a canonical code per
-rooted subtree; two subtrees get equal codes exactly when they are
-isomorphic root-to-root, which is what every counting and construction
-routine in the package leans on.
+A :class:`RootedTree` adds a parent array, a BFS order and a canonical
+class per rooted subtree; two subtrees get equal classes exactly when they
+are isomorphic root-to-root, which is what every counting and construction
+routine in the package leans on.  From text to classes every structure is
+an int array or a flat list, with no Python container per vertex or edge.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left, bisect_right
 
 from .errors import InvalidTreeError, TreeSyntaxError
 
@@ -19,74 +22,50 @@ SYNTHETIC_CENTER_LABEL = "⟨center⟩"
 class Tree:
     """Immutable unrooted tree; ``labels[i]`` names vertex id ``i``.
 
+    Stored flat, with no container per edge or vertex: ``_ends`` holds the
+    endpoints of input edge i at 2i and 2i + 1, and ``_adj`` lists every
+    vertex's neighbours in input-edge order from offset ``_adj_off[v]``.
     The constructor is the one place where trees are validated.
     """
 
     def __init__(self, labels, edges):
-        self.labels = tuple(str(s) for s in labels)
-        n = len(self.labels)
+        labels = tuple(str(s) for s in labels)
+        if len(set(labels)) != len(labels):
+            raise InvalidTreeError("vertex labels must be unique")
+        edges = list(edges)
+        try:
+            ends = list(map(int, itertools.chain.from_iterable(edges)))
+        except (TypeError, ValueError):
+            _reject(labels, edges)
+        if len(ends) != 2 * len(edges):
+            _reject(labels, edges)
+        self._build(labels, ends, edges)
+
+    def _build(self, labels: tuple, ends, edges=None):
+        # the tree checks: n - 1 edges over known ids, and a leaf strip
+        # that peels every vertex (it stalls exactly on a cycle, and a
+        # self-loop or a repeated edge is one).  A failed check is worded
+        # by _reject, over ``edges`` or else the pairs of ``ends``
+        n = len(labels)
         if n == 0:
             raise InvalidTreeError("empty input: a tree needs at least one vertex")
-        if len(set(self.labels)) != n:
-            raise InvalidTreeError("vertex labels must be unique")
-        # union-find: an edge inside one component closes a cycle, and an
-        # acyclic edge set spans all n vertices iff it has n-1 edges
-        uf = list(range(n))
-        norm = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidTreeError(f"edge ({u},{v}) references unknown vertex ids")
-            if u == v:
-                raise InvalidTreeError(f"self-loop at {self.labels[u]!r}")
-            a, b = _uf_find(uf, u), _uf_find(uf, v)
-            key = (u, v) if u < v else (v, u)
-            if a == b:
-                what = "duplicate edge" if key in norm else "cycle detected at edge"
-                raise InvalidTreeError(f"{what} {self.labels[u]!r} {self.labels[v]!r}")
-            uf[a] = b
-            norm.append(key)
-        if len(norm) < n - 1:
-            r0 = _uf_find(uf, 0)
-            w = next(x for x in range(1, n) if _uf_find(uf, x) != r0)
-            raise InvalidTreeError(
-                f"disconnected input: no path between {self.labels[0]!r}"
-                f" and {self.labels[w]!r}"
-            )
-        self.edges = tuple(norm)
-        self._build_csr()
+        stripped = None
+        if len(ends) == 2 * (n - 1) and (not ends or (min(ends) >= 0 and max(ends) < n)):
+            stripped = _strip(n, ends)
+        if stripped is None:
+            _reject(labels, zip(ends[0::2], ends[1::2]) if edges is None else edges)
+        self.labels = labels
+        self._ends = array("i", ends)
+        self._adj_off, self._adj, self._center = stripped
         self._ids: dict | None = None
         self._rooted: "RootedTree | None" = None
 
-    def _build_csr(self):
-        # flat neighbor array with per-vertex offsets; the traversal-heavy
-        # internals read this instead of per-vertex tuples
-        n = len(self.labels)
-        off = [0] * (n + 2)
-        for u, v in self.edges:
-            off[u + 2] += 1
-            off[v + 2] += 1
-        for i in range(2, n + 2):
-            off[i] += off[i - 1]
-        flat = [0] * (2 * len(self.edges))
-        for u, v in self.edges:
-            flat[off[u + 1]] = v
-            off[u + 1] += 1
-            flat[off[v + 1]] = u
-            off[v + 1] += 1
-        self._adj_off = off
-        self._adj_flat = flat
-
-    @classmethod
-    def _trusted(cls, labels: tuple, edges: list) -> "Tree":
-        # internal fast path for trees built from already-validated parts
-        t = object.__new__(cls)
-        t.labels = labels
-        t.edges = tuple(edges)
-        t._build_csr()
-        t._ids = None
-        t._rooted = None
-        return t
+    @property
+    def edges(self) -> tuple:
+        """Edges as (smaller id, larger id) pairs in input order, derived
+        from the flat endpoints on each access."""
+        us, vs = self._ends[0::2], self._ends[1::2]
+        return tuple(zip(map(min, us, vs), map(max, us, vs)))
 
     @property
     def _label_ids(self) -> dict:
@@ -108,6 +87,79 @@ class Tree:
         return f"Tree(n={self.n})"
 
 
+def _strip(n: int, ends) -> tuple | None:
+    """``(offsets, neighbours, center)`` of the graph with edge endpoints
+    ``ends``, or None when stripping leaves stalls before every vertex is
+    gone, which happens exactly when the edges close a cycle (a self-loop
+    adds 2 to a degree that no step removes).  The strip keeps no
+    adjacency: a leaf's one remaining neighbour is the XOR of its
+    remaining neighbours.  The center is the last layer stripped."""
+    deg = [0] * n
+    nbr = [0] * n
+    it = iter(ends)
+    for u, v in zip(it, it):
+        deg[u] += 1
+        deg[v] += 1
+        nbr[u] ^= v
+        nbr[v] ^= u
+    off = array("i", itertools.accumulate(deg, initial=0))
+    # a vertex joins the queue when its degree drops to 1, one layer after
+    # the leaf that exposed it; the queue visits layers in order
+    queue = [v for v in range(n) if deg[v] <= 1]
+    start, end = 0, len(queue)
+    for i, v in enumerate(queue):
+        if i == end:
+            start, end = i, len(queue)
+        if deg[v]:
+            w = nbr[v]
+            nbr[w] ^= v
+            deg[w] -= 1
+            if deg[w] == 1:
+                queue.append(w)
+    if len(queue) < n:
+        return None
+    center = tuple(sorted(queue[start:]))
+    del queue, nbr, deg
+    # neighbours in input-edge order: a counting sort by endpoint
+    fill = off.tolist()
+    adj = array("i", bytes(4 * len(ends)))
+    it = iter(ends)
+    for u, v in zip(it, it):
+        adj[fill[u]] = v
+        fill[u] += 1
+        adj[fill[v]] = u
+        fill[v] += 1
+    return off, adj, center
+
+
+def _reject(labels: tuple, edges):
+    """Raise the error that names the first edge, in input order, at which
+    ``edges`` stops being a forest, or the missing connection."""
+    n = len(labels)
+    # union-find: an edge inside one component closes a cycle, and an
+    # acyclic edge set spans all n vertices iff it has n-1 edges
+    uf = list(range(n))
+    seen = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidTreeError(f"edge ({u},{v}) references unknown vertex ids")
+        if u == v:
+            raise InvalidTreeError(f"self-loop at {labels[u]!r}")
+        a, b = _uf_find(uf, u), _uf_find(uf, v)
+        key = (u, v) if u < v else (v, u)
+        if a == b:
+            what = "duplicate edge" if key in seen else "cycle detected at edge"
+            raise InvalidTreeError(f"{what} {labels[u]!r} {labels[v]!r}")
+        uf[a] = b
+        seen.add(key)
+    r0 = _uf_find(uf, 0)
+    w = next(x for x in range(1, n) if _uf_find(uf, x) != r0)
+    raise InvalidTreeError(
+        f"disconnected input: no path between {labels[0]!r} and {labels[w]!r}"
+    )
+
+
 def _uf_find(uf: list, x: int) -> int:
     # union-find root of x, halving the path on the way
     while uf[x] != x:
@@ -119,35 +171,21 @@ def _uf_find(uf: list, x: int) -> int:
 def center(t: Tree) -> frozenset:
     """Vertex set of minimum eccentricity: one vertex, or two adjacent ones.
 
-    Computed by iteratively stripping leaves, so it runs in linear time.
+    Found by the leaf strip that validated the tree, in linear time.
     """
-    n = t.n
-    if n <= 2:
-        return frozenset(range(n))
-    off, flat = t._adj_off, t._adj_flat
-    deg = [off[v + 1] - off[v] for v in range(n)]
-    leaves = [v for v in range(n) if deg[v] == 1]
-    count = n
-    while count > 2:
-        count -= len(leaves)
-        nxt = []
-        for v in leaves:
-            for w in flat[off[v]:off[v + 1]]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-            deg[v] = 0
-        leaves = nxt
-    return frozenset(leaves)
+    return frozenset(t._center)
 
 
 class RootedTree:
-    """A rooted view of a tree: parent/children arrays, BFS order, codes.
+    """A rooted view of a tree: parent array, BFS order, canonical classes.
 
     ``subdivided`` marks trees produced from an edge-centered input, where a
     synthetic vertex (the new root) splits the central edge.  All original
     vertices keep their ids; the synthetic vertex gets the last id.
+
+    Stored flat: ``parent`` and ``bfs_order`` are int arrays, and the
+    children of ``v`` are ``bfs_order[_child_span[2v]:_child_span[2v + 1]]``
+    in discovery order.  ``children`` and ``depth`` are derived on demand.
     """
 
     def __init__(self, base: Tree, root: int):
@@ -175,40 +213,37 @@ class RootedTree:
         return rt
 
     def _grow(self, t: Tree, root: int, halves: tuple):
-        # BFS over t's adjacency from ``root``; a synthetic root (id t.n)
-        # has no adjacency of its own and gets ``halves`` as its children
+        # BFS over t's adjacency from ``root``.  In a tree the only visited
+        # neighbour of a vertex is its parent; a synthetic root (id t.n) has
+        # no adjacency of its own, so each half first treats the other as
+        # its parent, and both are handed to the root afterwards
         n = t.n + (1 if halves else 0)
         parent = [-1] * n
-        depth = [0] * n
-        span = [0] * (2 * n)
+        span = array("i", bytes(8 * n))
         order = [root, *halves]
-        seen = bytearray(n)
-        seen[root] = 1
-        for w in halves:
-            seen[w] = 1
-            parent[w] = root
-            depth[w] = 1
         span[2 * root], span[2 * root + 1] = 1, len(order)
-        off, flat = t._adj_off, t._adj_flat
-        i = 1 if halves else 0
-        while i < len(order):
-            v = order[i]
-            i += 1
+        it = iter(order)
+        if halves:
+            u, v = halves
+            parent[u], parent[v] = v, u
+            next(it)
+        off, adj = t._adj_off, t._adj
+        for v in it:
+            p = parent[v]
             span[2 * v] = len(order)
-            dv = depth[v] + 1
-            for w in flat[off[v]:off[v + 1]]:
-                if not seen[w]:
-                    seen[w] = 1
+            for w in adj[off[v]:off[v + 1]]:
+                if w != p:
                     parent[w] = v
-                    depth[w] = dv
                     order.append(w)
             span[2 * v + 1] = len(order)
+        for w in halves:
+            parent[w] = root
         self.root = root
-        self.parent = tuple(parent)
-        self.depth = tuple(depth)
-        self.bfs_order = tuple(order)
+        self.parent = array("i", parent)
+        self.bfs_order = array("i", order)
         self._child_span = span
         self._children: tuple | None = None
+        self._depth: array | None = None
         self._code_ids: tuple | None = None
         self._order: list | None = None
         self._sizes: tuple | None = None
@@ -227,29 +262,43 @@ class RootedTree:
         return self._children
 
     @property
+    def depth(self) -> array:
+        """Distance from the root per vertex (computed on first use)."""
+        if self._depth is None:
+            depth = array("i", bytes(4 * self.n))
+            parent = self.parent
+            for v in self.bfs_order[1:]:
+                depth[v] = depth[parent[v]] + 1
+            self._depth = depth
+        return self._depth
+
+    @property
     def base(self) -> Tree:
         if self._base is None:
             t = self._source
             x = self.root
             u, v = sorted(self.halves)
             edges = [e for e in t.edges if e != (u, v)] + [(u, x), (v, x)]
-            self._base = Tree._trusted(t.labels + (self._center_label,), edges)
+            self._base = Tree(self.labels, edges)
         return self._base
 
     @property
     def halves(self) -> tuple:
         """The central vertices a subdivided view's synthetic root splits,
-        in BFS order, or ``()`` on any other view; read from ``bfs_order``
-        without materializing ``children``."""
-        return self.bfs_order[1:3] if self.subdivided else ()
+        in BFS order, or ``()`` on any other view."""
+        return tuple(self.bfs_order[1:3]) if self.subdivided else ()
 
     @property
     def n(self) -> int:
         return len(self.parent)
 
     @property
-    def labels(self):
-        return self.base.labels
+    def labels(self) -> tuple:
+        """Labels per vertex id: the source tree's, and on a subdivided view
+        the synthetic root's label last, without building the base tree."""
+        if self.subdivided:
+            return self._source.labels + (self._center_label,)
+        return self._source.labels
 
     def is_synthetic(self, v: int) -> bool:
         return self.subdivided and v == self.subdivision_vertex
@@ -269,42 +318,48 @@ class RootedTree:
     def code_ids(self) -> tuple:
         """Dense class id per vertex; equal ids iff isomorphic rooted subtrees.
 
-        Computed bottom-up by interning the sorted tuple of child class ids,
-        so the total work is O(n log n) and no code strings are built.  Class
-        ids come out in children-before-parents order, and the per-class
-        child multiplicities are recorded along the way.
+        Computed bottom-up by interning each vertex's sorted child class
+        ids, read straight from its child span (a lone child is interned
+        by its id alone), so the total work is O(n log n) and no code
+        strings are built.  Class ids come out in children-before-parents
+        order, and each new class appends its pairs to the flat class
+        structure.
         """
         if self._code_ids is None:
-            parent = self.parent
+            order, span = self.bfs_order, self._child_span
             ids = [0] * self.n
-            table: dict = {(): 0}
-            mults: list = [()]
+            table: dict = {}
+            owner: list = []
+            kids: list = []
+            mults: list = []
             leaves = 1
-            pending: list = [None] * self.n
-            for v in reversed(self.bfs_order):
-                kc = pending[v]
-                if kc is not None:
-                    kc.sort()
-                    key = tuple(kc)
-                    cid = table.get(key)
-                    if cid is None:
-                        cid = len(table)
-                        table[key] = cid
-                        counts: dict = {}
-                        for cc in kc:
-                            counts[cc] = counts.get(cc, 0) + 1
-                        mults.append(tuple(counts.items()))
-                        leaves = max(leaves, counts.get(0, 0))
-                    ids[v] = cid
-                p = parent[v]
-                if p >= 0:
-                    kcp = pending[p]
-                    if kcp is None:
-                        pending[p] = [ids[v]]
+            for v in reversed(order):
+                s, e = span[2 * v], span[2 * v + 1]
+                if s == e:
+                    continue
+                if e - s == 1:
+                    key = ids[order[s]]
+                else:
+                    key = tuple(sorted(map(ids.__getitem__, order[s:e])))
+                cid = table.get(key)
+                if cid is None:
+                    # the leaf class 0 has no key
+                    cid = table[key] = len(table) + 1
+                    if e - s == 1:
+                        owner.append(cid)
+                        kids.append(key)
+                        mults.append(1)
                     else:
-                        kcp.append(ids[v])
+                        for c, run in itertools.groupby(key):
+                            owner.append(cid)
+                            kids.append(c)
+                            mults.append(len(list(run)))
+                        if key[0] == 0:
+                            leaves = max(leaves, key.count(0))
+                ids[v] = cid
             self._code_ids = tuple(ids)
-            self._class_structure = (tuple(range(len(mults))), tuple(mults))
+            self._class_structure = (tuple(owner), tuple(kids), tuple(mults))
+            self._class_count = len(table) + 1
             self._leaf_bound = leaves
         return self._code_ids
 
@@ -322,12 +377,14 @@ class RootedTree:
 
     def class_count(self) -> int:
         self.code_ids()
-        return len(self._class_structure[0])
+        return self._class_count
 
     def class_structure(self) -> tuple:
-        """``(order, mults)``: distinct class ids listed children-first, and
-        per class the (child class id, multiplicity) pairs of one
-        representative.  Lets count passes touch each class exactly once."""
+        """``(owner, kids, mults)``, flat: pair i says that class
+        ``owner[i]`` has ``mults[i]`` children of class ``kids[i]``.  Pairs
+        run class by class in class-id order, which is children-first, and
+        by ascending child class within a class; the leaf class 0 has none.
+        So a count pass is one loop over the pairs."""
         self.code_ids()
         return self._class_structure
 
@@ -335,8 +392,7 @@ class RootedTree:
         # computed once, on the first request for an order: count passes
         # and the parameter searches never need it
         if self._order is None:
-            self.code_ids()
-            self._order = _code_order(self._class_structure[1], self.n)
+            self._order = _code_order(self.class_count(), *self.class_structure(), self.n)
         return self._order
 
     def sibling_classes(self, v: int) -> list:
@@ -358,17 +414,20 @@ class RootedTree:
         # parenthesis string of one class, by iterative DFS over the child
         # classes in code order; -1 on the stack closes a group
         rank = self._class_order()
-        mults = self._class_structure[1]
+        owner, kids, mults = self.class_structure()
         out = []
         stack = [cid]
         while stack:
             c = stack.pop()
             if c < 0:
                 out.append(")")
-            elif mults[c]:
+            elif c:
                 out.append("(")
                 stack.append(-1)
-                for child, m in sorted(mults[c], key=lambda p: rank[p[0]], reverse=True):
+                lo = bisect_left(owner, c)
+                hi = bisect_right(owner, c, lo)
+                pairs = zip(kids[lo:hi], mults[lo:hi])
+                for child, m in sorted(pairs, key=lambda p: rank[p[0]], reverse=True):
                     stack.extend([child] * m)
             else:
                 out.append("()")
@@ -379,7 +438,7 @@ class RootedTree:
         return f"RootedTree(n={self.n}, root={self.root}{tag})"
 
 
-def _code_order(mults, big: int) -> list:
+def _code_order(n_cls: int, owner, kids, mults, big: int) -> list:
     """Every class's position in the order of the classes' parenthesis
     codes, found without building a code.
 
@@ -387,28 +446,32 @@ def _code_order(mults, big: int) -> list:
     come first.  Classes of equal height compare the sequences of their
     children's classes, each ascending in this same order, entry by entry;
     a sequence that is a proper prefix of another comes after it, since
-    ``)`` sorts after ``(``.  ``mults`` lists each class's (child class,
-    multiplicity) pairs, children-first, and ``big`` exceeds every
+    ``)`` sorts after ``(``.  ``owner``, ``kids`` and ``mults`` are the
+    flat class structure of ``n_cls`` classes, and ``big`` exceeds every
     multiplicity.
     """
-    n_cls = len(mults)
     height = [0] * n_cls
-    for cid, ps in enumerate(mults):
-        for c, _ in ps:
-            if height[c] >= height[cid]:
-                height[cid] = height[c] + 1
+    for cid, c in zip(owner, kids):
+        if height[c] >= height[cid]:
+            height[cid] = height[c] + 1
     # levels are ranked from the leaves up, each taking the ranks just
     # before the levels below it.  A child entry encodes (rank, -copies):
     # of two sequences that agree up to a run of one child class, the one
     # with more copies sorts first, as its next copy meets a later class
     # or the other sequence's end.  Keys are tuples of ints, which the
     # cyclic garbage collector stops tracking
+    start = [0] * (n_cls + 1)
+    for cid in owner:
+        start[cid + 1] += 1
+    start = list(itertools.accumulate(start))
     rank = [0] * n_cls
     free = n_cls
     end = n_cls * big
     by_height = sorted(range(n_cls), key=height.__getitem__)
     for _, level in itertools.groupby(by_height, key=height.__getitem__):
-        keyed = sorted(((*sorted([rank[c] * big - m for c, m in mults[cid]]), end), cid)
+        keyed = sorted(((*sorted([rank[c] * big - m for c, m in
+                                  zip(kids[start[cid]:start[cid + 1]],
+                                      mults[start[cid]:start[cid + 1]])]), end), cid)
                        for cid in level)
         free -= len(keyed)
         for i, (_, cid) in enumerate(keyed):
@@ -436,7 +499,7 @@ def to_rooted(t: Tree) -> RootedTree:
     """
     if t._rooted is not None:
         return t._rooted
-    c = sorted(center(t))
+    c = t._center
     if len(c) == 1:
         rt = RootedTree(t, c[0])
     else:
@@ -527,9 +590,9 @@ def parse_tree(text: str, fmt: str = "edge-list"):
 
 
 def _parse_edge_list(text: str) -> Tree:
-    # tokenizing only: the Tree constructor checks the structure
-    labels: dict = {}
-    edges = []
+    # tokenizing only: the Tree checks validate the structure.  Tokens go
+    # to flat lists, and ids follow first occurrence, lone labels included
+    named, toks = [], []
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
@@ -538,10 +601,17 @@ def _parse_edge_list(text: str) -> Tree:
             raise TreeSyntaxError(
                 f"line {lineno}: expected two whitespace-separated labels, got {len(parts)}"
             )
-        ids = [labels.setdefault(s, len(labels)) for s in parts]
-        if len(ids) == 2:
-            edges.append(ids)
-    return Tree(labels, edges)
+        named += parts
+        if len(parts) == 2:
+            toks += parts
+    ids = dict.fromkeys(named)
+    for i, s in enumerate(ids):
+        ids[s] = i
+    ends = list(map(ids.__getitem__, toks))
+    del named, toks
+    t = object.__new__(Tree)
+    t._build(tuple(ids), ends)
+    return t
 
 
 def _parse_parens(text: str) -> RootedTree:

@@ -1,5 +1,5 @@
-"""Naive references for canonical codes, sibling-class order and rooted
-isomorphism.
+"""Naive references for canonical codes, sibling-class order, rooted
+isomorphism and the tree front end.
 
 Builds the Aho–Hopcroft–Ullman parenthesis string of every vertex's
 subtree directly, children sorted by their own strings, and orders sibling
@@ -8,6 +8,7 @@ isomorphism test backtracks over child matchings and never looks at codes.
 """
 
 from treesym import RootedTree, Tree
+from treesym.errors import InvalidTreeError, TreeSyntaxError
 
 
 def vertex_strings(rt) -> list:
@@ -73,3 +74,149 @@ def is_isomorphic_rooted(a: RootedTree, b: RootedTree) -> bool:
     if da and db and max(da) != max(db):
         return False
     return match(a.root, b.root)
+
+
+# -- the per-vertex front end ---------------------------------------------------
+# Parsing, validation, centering, rooting and interning as they were before
+# the flat layout: one token list per line, a union-find that names the
+# first bad edge, a neighbour list per vertex, and one pending child list
+# per vertex.  Only for differential tests.
+
+
+def parse_edge_list(text: str) -> tuple:
+    """``(labels, edges)`` of edge-list text, ids in first-occurrence order,
+    validated by :func:`check_tree`."""
+    labels: dict = {}
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) > 2:
+            raise TreeSyntaxError(
+                f"line {lineno}: expected two whitespace-separated labels, got {len(parts)}"
+            )
+        ids = [labels.setdefault(s, len(labels)) for s in parts]
+        if len(ids) == 2:
+            edges.append(tuple(ids))
+    labels = list(labels)
+    check_tree(labels, edges)
+    return labels, edges
+
+
+def check_tree(labels, edges) -> list:
+    """Raise the error of the first edge at which ``edges`` stops being a
+    tree on ``labels``; return the edges as (smaller, larger) id pairs."""
+    labels = [str(s) for s in labels]
+    n = len(labels)
+    if n == 0:
+        raise InvalidTreeError("empty input: a tree needs at least one vertex")
+    if len(set(labels)) != n:
+        raise InvalidTreeError("vertex labels must be unique")
+    uf = list(range(n))
+
+    def find(x):
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    norm = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidTreeError(f"edge ({u},{v}) references unknown vertex ids")
+        if u == v:
+            raise InvalidTreeError(f"self-loop at {labels[u]!r}")
+        a, b = find(u), find(v)
+        key = (u, v) if u < v else (v, u)
+        if a == b:
+            what = "duplicate edge" if key in norm else "cycle detected at edge"
+            raise InvalidTreeError(f"{what} {labels[u]!r} {labels[v]!r}")
+        uf[a] = b
+        norm.append(key)
+    if len(norm) < n - 1:
+        r0 = find(0)
+        w = next(x for x in range(1, n) if find(x) != r0)
+        raise InvalidTreeError(
+            f"disconnected input: no path between {labels[0]!r} and {labels[w]!r}"
+        )
+    return norm
+
+
+def neighbours(n: int, edges) -> list:
+    """Neighbour list per vertex, in input-edge order."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def tree_center(adj) -> frozenset:
+    """Center by stripping all leaves at once, round by round."""
+    n = len(adj)
+    if n <= 2:
+        return frozenset(range(n))
+    deg = [len(a) for a in adj]
+    leaves = [v for v in range(n) if deg[v] == 1]
+    count = n
+    while count > 2:
+        count -= len(leaves)
+        nxt = []
+        for v in leaves:
+            for w in adj[v]:
+                if deg[w] > 0:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+            deg[v] = 0
+        leaves = nxt
+    return frozenset(leaves)
+
+
+def rooted(adj, root: int, halves=()) -> dict:
+    """BFS from ``root`` over ``adj`` (a synthetic root, id len(adj), takes
+    ``halves`` as its children), then bottom-up interning of sorted child
+    class tuples.  Returns parent, depth, bfs_order, children, the class
+    id per vertex and the (child class, multiplicity) pairs per class."""
+    n = len(adj) + (1 if halves else 0)
+    parent = [-1] * n
+    depth = [0] * n
+    children = [[] for _ in range(n)]
+    order = [root, *halves]
+    seen = [False] * n
+    seen[root] = True
+    for w in halves:
+        seen[w] = True
+        parent[w] = root
+        depth[w] = 1
+        children[root].append(w)
+    i = 1 if halves else 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                children[v].append(w)
+                order.append(w)
+    ids = [0] * n
+    table: dict = {(): 0}
+    pairs: list = [()]
+    pending: list = [[] for _ in range(n)]
+    for v in reversed(order):
+        key = tuple(sorted(pending[v]))
+        if key not in table:
+            table[key] = len(table)
+            counts: dict = {}
+            for c in key:
+                counts[c] = counts.get(c, 0) + 1
+            pairs.append(tuple(counts.items()))
+        ids[v] = table[key]
+        if parent[v] >= 0:
+            pending[parent[v]].append(ids[v])
+    return {"parent": parent, "depth": depth, "bfs_order": order,
+            "children": [tuple(c) for c in children], "ids": ids, "pairs": pairs}

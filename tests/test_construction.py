@@ -1,4 +1,6 @@
+import time
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -15,6 +17,7 @@ from treesym import (
     count_distinguishing,
     distinguishing_chromatic_number,
     distinguishing_number,
+    distinguishes,
     enumerate_automorphisms,
     is_distinguishing,
     is_proper,
@@ -25,7 +28,7 @@ from treesym import (
     unrank_proper_distinguishing,
 )
 from treesym import counting
-from treesym.construction import parameters
+from treesym.construction import _subset_unrank_desc, parameters
 from treesym.cli import _analyze_one
 from treesym.errors import (
     CountIndexError,
@@ -194,6 +197,40 @@ def test_rank_unrank_roundtrip_small():
                 for i in range(total):
                     col = unrank_distinguishing(rt, k, i)
                     assert rank_distinguishing(rt, k, col).value == i
+
+
+def _subset_unrank_linear(r: int, m: int) -> list:
+    # each element by a linear scan: the largest c with C(c, i) <= r
+    out = []
+    for i in range(m, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= r:
+            c += 1
+        out.append(c)
+        r -= comb(c, i)
+    return out
+
+
+def test_subset_unrank_matches_linear_search():
+    for m in range(7):
+        for r in range(comb(20, m)):
+            assert _subset_unrank_desc(r, m) == _subset_unrank_linear(r, m)
+
+
+@pytest.mark.parametrize("t", [path(41), random_tree(120, seed="last-index")],
+                         ids=["path-41", "prufer-120"])
+def test_last_index_unranks_fast(t):
+    # the index's value may be astronomically larger than its bit length
+    k = distinguishing_number(t)
+    last = CountTable(to_rooted(t)).tree_distinguishing(k) - 1
+    start = time.perf_counter()
+    col = construct_distinguishing_coloring(t, k, last)
+    assert time.perf_counter() - start < 1.0
+    assert distinguishes(t, col)
+    if not to_rooted(t).subdivided:
+        assert rank_distinguishing(to_rooted(t), k, col).value == last
+    with pytest.raises(CountIndexError):
+        construct_distinguishing_coloring(t, k, last + 1)
 
 
 def test_equivalent_colorings_share_rank():

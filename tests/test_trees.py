@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -32,6 +33,7 @@ from treesym.families import (
 )
 
 from conftest import labeled_edges, tree_from
+import reference
 from reference import extract_subtree, is_isomorphic_rooted, sibling_order, vertex_strings
 
 
@@ -419,6 +421,144 @@ def test_roundtrip_random_trees(n, rnd):
     assert labeled_edges(back) == labeled_edges(t)
     rt = to_rooted(t)
     assert parse_tree(to_parens(rt), fmt="parens").n == rt.n
+
+
+# -- the flat front end against the per-vertex reference ----------------------
+
+
+def _shuffled_text(t, rng) -> str:
+    # the tree as edge-list text with fresh labels, shuffled line order and
+    # endpoint order
+    names = [f"v{i}" for i in rng.sample(range(10 * t.n), t.n)]
+    lines = [f"{names[u]} {names[v]}" if rng.random() < 0.5 else f"{names[v]} {names[u]}"
+             for u, v in t.edges]
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n" if lines else names[0] + "\n"
+
+
+def _assert_rooted_matches(rt, ref):
+    assert list(rt.parent) == ref["parent"]
+    assert list(rt.depth) == ref["depth"]
+    assert list(rt.bfs_order) == ref["bfs_order"]
+    assert list(rt.children) == ref["children"]
+    assert list(rt.code_ids()) == ref["ids"]
+    owner, kids, mults = rt.class_structure()
+    pairs = [()] * rt.class_count()
+    for cid, run in itertools.groupby(zip(owner, kids, mults), key=lambda p: p[0]):
+        pairs[cid] = tuple((c, m) for _, c, m in run)
+    assert pairs == ref["pairs"]
+    assert list(owner) == sorted(owner)
+
+
+def _assert_front_matches(text: str, all_roots: bool):
+    labels, edges = reference.parse_edge_list(text)
+    t = parse_tree(text)
+    assert list(t.labels) == labels
+    assert t.edges == tuple(reference.check_tree(labels, edges))
+    adj = reference.neighbours(t.n, edges)
+    assert [list(t._adj[t._adj_off[v]:t._adj_off[v + 1]]) for v in range(t.n)] == adj
+    ctr = reference.tree_center(adj)
+    assert center(t) == ctr
+    c = sorted(ctr)
+    rt = to_rooted(t)
+    if len(c) == 1:
+        assert not rt.subdivided
+        _assert_rooted_matches(rt, reference.rooted(adj, c[0]))
+    else:
+        assert rt.subdivided and rt.halves == tuple(c)
+        _assert_rooted_matches(rt, reference.rooted(adj, t.n, tuple(c)))
+    for r in range(t.n) if all_roots else ():
+        _assert_rooted_matches(RootedTree(t, r), reference.rooted(adj, r))
+
+
+def test_front_end_matches_reference_small():
+    rng = random.Random("front-small")
+    for t in all_trees_up_to(9):
+        for _ in range(3):
+            _assert_front_matches(_shuffled_text(t, rng), all_roots=True)
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_front_end_matches_reference_prufer(n):
+    rng = random.Random(f"front-{n}")
+    _assert_front_matches(_shuffled_text(random_tree(n, seed=f"front-{n}"), rng),
+                          all_roots=False)
+
+
+_PARSE_ERRORS = [
+    ("self-loop", "a b\nb b\n", "self-loop at 'b'"),
+    ("self-loop-among-n-1-edges", "a b\nc c\n", "self-loop at 'c'"),
+    ("duplicate-among-n-1-edges", "a b\nb a\nc\n", "duplicate edge 'b' 'a'"),
+    ("duplicate", "a b\nb c\nc b\n", "duplicate edge 'c' 'b'"),
+    ("cycle-before-self-loop", "a b\nb c\nc a\nd d\n", "cycle detected at edge 'c' 'a'"),
+    ("disconnected", "a b\nc d\n", "disconnected input: no path between 'a' and 'c'"),
+    ("lone-label", "a b\nc\n", "disconnected input: no path between 'a' and 'c'"),
+    ("lone-label-repeated", "a\na b\na\n", None),
+    ("comments", "# a path\na b\n  # b x\nb c\n", None),
+    ("hash-inside-a-line", "a #b\n#b c\n", None),
+    ("comments-only", "# nothing\n\n", "empty input: a tree needs at least one vertex"),
+    ("blank-lines", "\n\na b\n\n \t\nb c\n\n", None),
+    ("bom", "\ufeffa b\nc d\n", "disconnected input: no path between '\\ufeffa' and 'c'"),
+    ("three-tokens", "a b\na b c\n", "line 2: expected two whitespace-separated labels, got 3"),
+    ("three-tokens-after-cycle", "a b\nb a\nx y z\n",
+     "line 3: expected two whitespace-separated labels, got 3"),
+    ("form-feed-splits-lines", "a\x0cb\nb c\n", "disconnected input: no path between 'a' and 'b'"),
+    ("carriage-returns", "a b\r\nb c\rc d\n", None),
+]
+
+
+@pytest.mark.parametrize("text,message", [c[1:] for c in _PARSE_ERRORS],
+                         ids=[c[0] for c in _PARSE_ERRORS])
+def test_parse_error_parity(text, message):
+    # the flat parser answers, or fails with the same message, exactly as
+    # the per-line parser and union-find do
+    if message is None:
+        labels, edges = reference.parse_edge_list(text)
+        t = parse_tree(text)
+        assert list(t.labels) == labels
+        assert t.edges == tuple(tuple(sorted(e)) for e in edges)
+        return
+    err = TreeSyntaxError if message.startswith("line") else InvalidTreeError
+    with pytest.raises(err) as ref:
+        reference.parse_edge_list(text)
+    assert str(ref.value) == message
+    with pytest.raises(err) as got:
+        parse_tree(text)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("labels,edges,message", [
+    (["a", "b"], [(0, 5)], "edge (0,5) references unknown vertex ids"),
+    (["a", "b", "c"], [(0, 0), (1, 7)], "self-loop at 'a'"),
+    (["a", "b", "c"], [(0, 1), (-1, 2)], "edge (-1,2) references unknown vertex ids"),
+    (["a", "b", "c"], [(0, 1), (1, 0), (1, 2)], "duplicate edge 'b' 'a'"),
+    (["a", "b", "c", "d"], [(0, 1), (2, 3)], "disconnected input: no path between 'a' and 'c'"),
+    (["a", "a"], [(0, 1)], "vertex labels must be unique"),
+    ([], [], "empty input: a tree needs at least one vertex"),
+], ids=["out-of-range", "self-loop-first", "negative", "duplicate", "disconnected", "labels",
+        "empty"])
+def test_tree_error_parity(labels, edges, message):
+    with pytest.raises(InvalidTreeError) as ref:
+        reference.check_tree(labels, edges)
+    assert str(ref.value) == message
+    with pytest.raises(InvalidTreeError) as got:
+        Tree(labels, edges)
+    assert str(got.value) == message
+
+
+def test_front_end_memory_scales_linearly():
+    # parse, root and intern keep flat arrays: 10x the vertices may cost
+    # at most 12x the traced peak
+    peaks = []
+    for n in (10_000, 100_000):
+        text = to_edge_list(random_tree(n, seed="front-memory"))
+        tracemalloc.start()
+        try:
+            to_rooted(parse_tree(text)).code_ids()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 12 * peaks[0]
 
 
 def test_tree_validation_direct():
