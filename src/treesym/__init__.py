@@ -16,7 +16,6 @@ from .construction import (
     properize,
     rank_distinguishing,
     unrank_distinguishing,
-    unrank_proper_distinguishing,
 )
 from .counting import (
     BigCount,

@@ -124,8 +124,8 @@ def _certificate_json(rt: RootedTree, cert) -> dict | None:
 
 def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
     start = time.perf_counter()
-    rooted_input = isinstance(t, RootedTree)
-    rt = t if rooted_input else to_rooted(t)
+    rt = to_rooted(t)
+    rooted_input = rt is t
     d, chi, cert = parameters(rt)
     if chi not in (d, d + 1) or (cert is not None) != (chi == d + 1):
         raise AssertionError("internal inconsistency between parameters and certificate")
@@ -245,7 +245,7 @@ def cmd_count(args) -> int:
     if args.list and args.k is not None:
         raise TreeSyntaxError("K is not supported together with --list")
     t = _load_tree(args)
-    rt = t if isinstance(t, RootedTree) else to_rooted(t)
+    rt = to_rooted(t)
     if args.list:
         assignment = parse_list_file(_read_input(args.list), t)
         if args.proper:
@@ -268,7 +268,7 @@ def cmd_color(args) -> int:
     if args.list and (args.k is not None or args.index is not None):
         raise TreeSyntaxError("K and --index are not supported together with --list")
     t = _load_tree(args)
-    rt = t if isinstance(t, RootedTree) else to_rooted(t)
+    rt = to_rooted(t)
     if args.list:
         assignment = parse_list_file(_read_input(args.list), t)
         coloring = construct_list_distinguishing_coloring(t, assignment,
@@ -286,7 +286,7 @@ def cmd_color(args) -> int:
 
 def cmd_certify(args) -> int:
     t = _load_tree(args)
-    rt = t if isinstance(t, RootedTree) else to_rooted(t)
+    rt = to_rooted(t)
     cert = _certificate_json(rt, chi_certificate(rt))
     if args.json:
         print(json.dumps(cert, sort_keys=True))

@@ -18,6 +18,7 @@ saturating table (``_table``); only :func:`rank_distinguishing` is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -28,7 +29,7 @@ from .errors import (
     NotDistinguishingError,
     SaturatedCountError,
 )
-from .trees import RootedTree, Tree, to_rooted
+from .trees import RootedTree, _color_map, to_rooted
 
 STAR_COLOR = 0
 
@@ -57,18 +58,6 @@ class Certificate:
     children: tuple
     k: int
     degenerate: bool = False
-
-
-def _as_rooted(t) -> RootedTree:
-    if isinstance(t, RootedTree):
-        return t
-    if isinstance(t, Tree):
-        return to_rooted(t)
-    raise TypeError(f"expected Tree or RootedTree, got {type(t).__name__}")
-
-
-def _as_colors(coloring) -> dict:
-    return coloring.colors if isinstance(coloring, Coloring) else dict(coloring)
 
 
 def _exact_index(index) -> int:
@@ -111,7 +100,7 @@ def _table(t, idx: int = 0) -> CountTable:
     # searches and the certificate stay exact, and above idx: the walker
     # splits idx as from exact counts, as an entry below the cap is exact
     # and a clamped one exceeds every digit split off idx (quotient 0)
-    return CountTable(_as_rooted(t), cap=idx + 1)
+    return CountTable(to_rooted(t), cap=idx + 1)
 
 
 def _search_d(table: CountTable) -> int:
@@ -138,12 +127,16 @@ def _certificate(table: CountTable, k: int) -> Certificate | None:
     for cid, c, m in zip(*rt.class_structure()):
         if (k - 1) * row[c] < m:
             short[cid] = True
+    # the first short vertex in BFS order, then its first short class in code order
     ids = rt.code_ids()
-    for v in rt.bfs_order:
+    order, span = rt.bfs_order, rt._child_span
+    for v in order:
         if short[ids[v]]:
-            for cid, members in rt.sibling_classes(v):
-                if (k - 1) * row[cid] < len(members):
-                    return Certificate(v, tuple(members), k, degenerate=False)
+            kids = order[span[2 * v]:span[2 * v + 1]]
+            sizes = Counter(map(ids.__getitem__, kids))
+            cid = min((c for c, m in sizes.items() if (k - 1) * row[c] < m),
+                      key=rt._class_order().__getitem__)
+            return Certificate(v, tuple(sorted(w for w in kids if ids[w] == cid)), k)
     return None
 
 
@@ -272,10 +265,8 @@ def unrank_distinguishing(rt: RootedTree, k: int, index) -> Coloring:
 def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
     """Index of the coloring's equivalence class in the canonical order;
     inverse of :func:`unrank_distinguishing` on class representatives."""
-    colors = _as_colors(coloring)
+    colors = _color_map(coloring, rt.n)
     for v in range(rt.n):
-        if v not in colors:
-            raise ValueError(f"coloring misses vertex {v}")
         if not 1 <= colors[v] <= k:
             raise ValueError(f"color {colors[v]} at vertex {v} outside 1..{k}")
     row = CountTable(rt).row(k)
@@ -293,16 +284,6 @@ def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
     return BigCount(ranks[rt.root])
 
 
-def unrank_proper_distinguishing(rt: RootedTree, k: int, root_color: int,
-                                 index) -> Coloring:
-    """Representative of the index-th class of proper distinguishing
-    k-colorings with the root colored ``root_color``."""
-    if not 1 <= root_color <= k:
-        raise ValueError(f"root color {root_color} outside 1..{k}")
-    idx = _exact_index(index)
-    return Coloring(_unrank(_table(rt, idx), k, True, rt.root, root_color, idx))
-
-
 # -- properization and certificates ----------------------------------------
 
 
@@ -310,14 +291,11 @@ def properize(rt: RootedTree, coloring) -> Coloring:
     """Repair a distinguishing coloring into a proper one with one extra
     color: walking top-down, a child clashing with its parent's repaired
     color is recolored ``*`` (color 0).  The result stays distinguishing."""
-    base = _as_colors(coloring)
-    for v in range(rt.n):
-        if v not in base:
-            raise ValueError(f"coloring misses vertex {v}")
+    base = _color_map(coloring, rt.n)
+    parent = rt.parent
     out = {rt.root: base[rt.root]}
-    for v in rt.bfs_order:
-        for u in rt.children[v]:
-            out[u] = STAR_COLOR if out[v] == base[u] else base[u]
+    for u in rt.bfs_order[1:]:
+        out[u] = STAR_COLOR if out[parent[u]] == base[u] else base[u]
     return Coloring(out)
 
 
@@ -345,7 +323,7 @@ def construct_distinguishing_coloring(t, k: int | None = None,
     its index-th class, 0 <= index < :meth:`CountTable.tree_distinguishing`.
     The root color leads the index; an edge-centered tree's synthetic root
     is pinned to color 1 and dropped from the result."""
-    rt = _as_rooted(t)
+    rt = to_rooted(t)
     idx = _exact_index(index)
     table = _table(rt, idx)
     if k is None:
@@ -387,7 +365,7 @@ def construct_proper_distinguishing_coloring(t, k: int | None = None,
     pairs, or pairs with u's color the smaller when the halves are
     isomorphic; pair 0 is (1, 2)), then the class of u's half, then v's.
     """
-    rt = _as_rooted(t)
+    rt = to_rooted(t)
     idx = _exact_index(index)
     table = _table(rt, idx)
     if k is None:

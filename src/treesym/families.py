@@ -74,8 +74,32 @@ def random_tree(n: int, seed) -> Tree:
     return tree_from_prufer([rng.randrange(n) for _ in range(n - 2)])
 
 
-_FREE_CACHE: dict = {}
-_ROOTED_CACHE: dict = {}
+_GROWN: dict = {}
+
+
+def _grown(n: int, rooted: bool) -> tuple:
+    # the generators' one loop and one cache: a rooted tree keeps its root
+    # at id 0 and is deduplicated by its own code, a free tree by the code
+    # of its center-rooted reduction
+    if n < 1:
+        raise ValueError("n must be positive")
+    got = _GROWN.get((n, rooted))
+    if got is None:
+        if n == 1:
+            got = (RootedTree(single_vertex(), 0) if rooted else single_vertex(),)
+        else:
+            labels = [str(i) for i in range(n)]
+            seen: dict = {}
+            for t in _grown(n - 1, rooted):
+                edges = list((t.base if rooted else t).edges)
+                for v in range(t.n):
+                    cand = Tree(labels, edges + [(v, n - 1)])
+                    if rooted:
+                        cand = RootedTree(cand, 0)
+                    seen.setdefault(to_parens(to_rooted(cand)), cand)
+            got = tuple(seen.values())
+        _GROWN[(n, rooted)] = got
+    return got
 
 
 def nonisomorphic_trees(n: int) -> tuple:
@@ -85,48 +109,12 @@ def nonisomorphic_trees(n: int) -> tuple:
     deduplicating by canonical form; every n-vertex tree arises this way
     because removing any leaf leaves a smaller tree.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    got = _FREE_CACHE.get(n)
-    if got is not None:
-        return got
-    if n == 1:
-        out = (single_vertex(),)
-    else:
-        seen: dict = {}
-        for t in nonisomorphic_trees(n - 1):
-            labels = [str(i) for i in range(n)]
-            for v in range(t.n):
-                cand = Tree(labels, list(t.edges) + [(v, n - 1)])
-                key = to_parens(to_rooted(cand))
-                if key not in seen:
-                    seen[key] = cand
-        out = tuple(seen.values())
-    _FREE_CACHE[n] = out
-    return out
+    return _grown(n, False)
 
 
 def nonisomorphic_rooted_trees(n: int) -> tuple:
     """All rooted unlabeled trees on exactly n vertices; the root is id 0."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    got = _ROOTED_CACHE.get(n)
-    if got is not None:
-        return got
-    if n == 1:
-        out = (RootedTree(single_vertex(), 0),)
-    else:
-        seen: dict = {}
-        for rt in nonisomorphic_rooted_trees(n - 1):
-            labels = [str(i) for i in range(n)]
-            for v in range(rt.n):
-                cand = RootedTree(Tree(labels, list(rt.base.edges) + [(v, n - 1)]), 0)
-                key = to_parens(cand)
-                if key not in seen:
-                    seen[key] = cand
-        out = tuple(seen.values())
-    _ROOTED_CACHE[n] = out
-    return out
+    return _grown(n, True)
 
 
 def all_trees_up_to(n: int):

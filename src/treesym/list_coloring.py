@@ -455,7 +455,7 @@ def construct_list_distinguishing_coloring(
     witness (on an edge-centered proper input, the least workable color of
     the first central vertex, then the least different one of the other).
     """
-    rt = t if isinstance(t, RootedTree) else to_rooted(t)
+    rt = to_rooted(t)
     assignment.require_cover(rt.origin_count)
     work = assignment
     if rt.subdivided and not proper:

@@ -14,7 +14,7 @@ from math import factorial
 
 from .counting import BigCount
 from .errors import EnumerationBoundError
-from .trees import RootedTree, Tree, center, to_rooted
+from .trees import RootedTree, Tree, _color_map, center, to_rooted
 
 DEFAULT_GROUP_BOUND = 1_000_000
 DEFAULT_COLORING_BOUND = 10_000_000
@@ -52,17 +52,6 @@ def _vertex_count(t) -> int:
 def _edge_pairs(t) -> list:
     ends = (t.base if isinstance(t, RootedTree) else t)._ends
     return list(zip(ends[0::2], ends[1::2]))
-
-
-def _as_colors(coloring) -> dict:
-    got = getattr(coloring, "colors", None)
-    return dict(got) if got is not None else dict(coloring)
-
-
-def _check_total(colors: dict, n: int):
-    for v in range(n):
-        if v not in colors:
-            raise ValueError(f"coloring misses vertex {v}")
 
 
 # -- automorphism groups -----------------------------------------------------
@@ -154,15 +143,14 @@ def enumerate_automorphisms(t, bound: int = DEFAULT_GROUP_BOUND) -> AutGroup:
 
 def is_proper(t, coloring) -> bool:
     """No edge joins same-colored endpoints."""
-    colors = _as_colors(coloring)
+    colors = _color_map(coloring)
     return all(colors[u] != colors[v] for u, v in _edge_pairs(t))
 
 
 def is_distinguishing(t, coloring, bound: int = DEFAULT_GROUP_BOUND) -> bool:
     """Every nonidentity automorphism moves some color."""
-    colors = _as_colors(coloring)
     n = _vertex_count(t)
-    _check_total(colors, n)
+    colors = _color_map(coloring, n)
     rng = range(n)
     for p in enumerate_automorphisms(t, bound).nontrivial_perms():
         if all(colors[p[v]] == colors[v] for v in rng):
@@ -173,9 +161,8 @@ def is_distinguishing(t, coloring, bound: int = DEFAULT_GROUP_BOUND) -> bool:
 def coloring_orbit_form(t, coloring, bound: int = DEFAULT_GROUP_BOUND) -> tuple:
     """Canonical form of a coloring's orbit under the automorphism group;
     two colorings are equivalent iff their forms agree."""
-    colors = _as_colors(coloring)
     n = _vertex_count(t)
-    _check_total(colors, n)
+    colors = _color_map(coloring, n)
     rng = range(n)
     return min(
         tuple(colors[a.perm[v]] for v in rng)

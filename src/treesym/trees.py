@@ -5,14 +5,14 @@ A :class:`RootedTree` adds a parent array, a BFS order and a canonical
 class per rooted subtree; two subtrees get equal classes exactly when they
 are isomorphic root-to-root, which is what every counting and construction
 routine in the package leans on.  From text to classes every structure is
-an int array or a flat list, with no Python container per vertex or edge.
+an int array or a flat list, with no Python container per vertex or edge;
+codes, sibling classes and every walker read one flat sibling order.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from bisect import bisect_left, bisect_right
 
 from .errors import InvalidTreeError, TreeSyntaxError
 
@@ -185,7 +185,10 @@ class RootedTree:
 
     Stored flat: ``parent`` and ``bfs_order`` are int arrays, and the
     children of ``v`` are ``bfs_order[_child_span[2v]:_child_span[2v + 1]]``
-    in discovery order.  ``children`` and ``depth`` are derived on demand.
+    in discovery order.  The same span of the flat sibling order, built on
+    the first walk, holds them by (class rank, id), so a sibling class is a
+    run of equal class ids.  ``children`` and ``depth`` are derived on
+    demand.
     """
 
     def __init__(self, base: Tree, root: int):
@@ -246,6 +249,7 @@ class RootedTree:
         self._depth: array | None = None
         self._code_ids: tuple | None = None
         self._order: list | None = None
+        self._groups: array | None = None
         self._sizes: tuple | None = None
         self._class_structure: tuple | None = None
 
@@ -395,42 +399,41 @@ class RootedTree:
             self._order = _code_order(self.class_count(), *self.class_structure(), self.n)
         return self._order
 
+    def _grouped(self) -> array:
+        # every vertex's children at its child-span positions, in (class
+        # rank, id) order, so a sibling class is a run of equal class ids:
+        # one sort of all non-root vertices, built on the first walk
+        if self._groups is None:
+            rank, ids = self._class_order(), self._code_ids
+            n, span, parent = self.n, self._child_span, self.parent
+            kids = sorted(self.bfs_order[1:],
+                          key=lambda w: (span[2 * parent[w]] * n + rank[ids[w]]) * n + w)
+            self._groups = array("i", [self.root, *kids])
+        return self._groups
+
     def sibling_classes(self, v: int) -> list:
         """``(class id, members)`` per sibling class below ``v``, classes in
-        the order of their codes and members ascending by vertex id.  Reads
-        the class order computed once for the whole tree, so only the
-        children of ``v`` are sorted, by one integer key each."""
-        rank = self._class_order()
-        ids = self._code_ids
-        n = self.n
+        the order of their codes and members ascending by vertex id: runs
+        of one class id in the flat sibling order, with no sort per call."""
         span = self._child_span
-        kids = self.bfs_order[span[2 * v]:span[2 * v + 1]]
-        if len(kids) > 1:
-            kids = sorted(kids, key=lambda w: rank[ids[w]] * n + w)
-        groups = itertools.groupby(kids, key=ids.__getitem__)
+        kids = self._grouped()[span[2 * v]:span[2 * v + 1]]
+        groups = itertools.groupby(kids, key=self._code_ids.__getitem__)
         return [(cid, list(ms)) for cid, ms in groups]
 
-    def _code(self, cid: int) -> str:
-        # parenthesis string of one class, by iterative DFS over the child
-        # classes in code order; -1 on the stack closes a group
-        rank = self._class_order()
-        owner, kids, mults = self.class_structure()
+    def _code(self, v: int) -> str:
+        # parenthesis string of v's subtree, by iterative DFS over the
+        # children in the flat sibling order; -1 on the stack closes a group
+        grouped, span = self._grouped(), self._child_span
         out = []
-        stack = [cid]
+        stack = [v]
         while stack:
-            c = stack.pop()
-            if c < 0:
+            w = stack.pop()
+            if w < 0:
                 out.append(")")
-            elif c:
+            else:
                 out.append("(")
                 stack.append(-1)
-                lo = bisect_left(owner, c)
-                hi = bisect_right(owner, c, lo)
-                pairs = zip(kids[lo:hi], mults[lo:hi])
-                for child, m in sorted(pairs, key=lambda p: rank[p[0]], reverse=True):
-                    stack.extend([child] * m)
-            else:
-                out.append("()")
+                stack.extend(reversed(grouped[span[2 * w]:span[2 * w + 1]]))
         return "".join(out)
 
     def __repr__(self):
@@ -487,16 +490,21 @@ def canonical_code(rt: RootedTree, v: int) -> str:
     """
     if not 0 <= v < rt.n:
         raise InvalidTreeError(f"vertex id {v} out of range")
-    return rt._code(rt.code_id(v))
+    return rt._code(v)
 
 
-def to_rooted(t: Tree) -> RootedTree:
+def to_rooted(t) -> RootedTree:
     """Root ``t`` at its center, subdividing the central edge when the
-    center is an edge.  The synthetic vertex becomes the root.
+    center is an edge.  The synthetic vertex becomes the root.  A
+    :class:`RootedTree` is returned unchanged.
 
     The reduction is a pure function of the tree and is cached on it, so
     repeated analyses share one rooted view.
     """
+    if isinstance(t, RootedTree):
+        return t
+    if not isinstance(t, Tree):
+        raise TypeError(f"expected Tree or RootedTree, got {type(t).__name__}")
     if t._rooted is not None:
         return t._rooted
     c = t._center
@@ -539,6 +547,17 @@ def vertex_orbits(rt: RootedTree) -> tuple:
     return tuple(orbit)
 
 
+def _color_map(coloring, n: int | None = None):
+    # the color mapping of a Coloring (its ``colors``) or of a mapping; with
+    # n given, a vertex of 0..n-1 that it misses is a ValueError
+    colors = getattr(coloring, "colors", coloring)
+    if n is not None:
+        for v in range(n):
+            if v not in colors:
+                raise ValueError(f"coloring misses vertex {v}")
+    return colors
+
+
 _SYNTHETIC_COLOR = object()
 
 
@@ -553,11 +572,8 @@ def distinguishes(t, coloring) -> bool:
     color with the sorted colored ids of its children: O(n log n), with no
     group enumeration.  A vertex missing from the coloring is a ValueError.
     """
-    rt = t if isinstance(t, RootedTree) else to_rooted(t)
-    colors = getattr(coloring, "colors", coloring)
-    for v in range(t.n):
-        if v not in colors:
-            raise ValueError(f"coloring misses vertex {v}")
+    rt = to_rooted(t)
+    colors = _color_map(coloring, t.n)
     # the synthetic root of an unrooted tree's reduction carries no color,
     # and its key can equal no real vertex's key
     synthetic = rt.subdivision_vertex if rt is not t else None
@@ -655,4 +671,4 @@ def to_edge_list(t) -> str:
 
 def to_parens(rt: RootedTree) -> str:
     """Canonical parenthesis string of the whole rooted tree."""
-    return rt._code(rt.code_id(rt.root))
+    return rt._code(rt.root)

@@ -5,8 +5,11 @@ from math import comb
 import pytest
 
 from treesym import (
+    Certificate,
     Coloring,
     CountTable,
+    RootedTree,
+    Tree,
     brute_chromatic_distinguishing_number,
     brute_count_classes,
     brute_distinguishing_number,
@@ -21,11 +24,12 @@ from treesym import (
     enumerate_automorphisms,
     is_distinguishing,
     is_proper,
+    parse_tree,
     properize,
     rank_distinguishing,
+    to_edge_list,
     to_rooted,
     unrank_distinguishing,
-    unrank_proper_distinguishing,
 )
 from treesym import counting
 from treesym.construction import _subset_unrank_desc, parameters
@@ -254,15 +258,22 @@ def test_rank_rejects_bad_palette():
         rank_distinguishing(rt, 2, {0: 1, 1: 2, 2: 3})
 
 
+def _pinned_proper(rt, k, color, i):
+    # the i-th proper class with the root colored ``color``: the root color
+    # leads the index, f classes each
+    f = CountTable(rt).proper_raw(rt.root, k)
+    return construct_proper_distinguishing_coloring(rt, k, (color - 1) * f + i)
+
+
 def test_unrank_proper_examples(p3):
-    assert unrank_proper_distinguishing(leaf_rt(), 3, 2, 0).colors == {0: 2}
+    assert _pinned_proper(leaf_rt(), 3, 2, 0).colors == {0: 2}
     rt = to_rooted(p3)
-    col = unrank_proper_distinguishing(rt, 3, 1, 0)
+    col = _pinned_proper(rt, 3, 1, 0)
     assert col.colors[rt.root] == 1
     assert sorted(col.colors[c] for c in rt.children[rt.root]) == [2, 3]
     assert is_proper(rt, col) and is_distinguishing(rt, col)
-    with pytest.raises(CountIndexError):
-        unrank_proper_distinguishing(rt, 2, 1, 0)
+    with pytest.raises(NoColoringError):
+        _pinned_proper(rt, 2, 1, 0)
 
 
 def test_unrank_proper_is_proper_everywhere():
@@ -276,13 +287,13 @@ def test_unrank_proper_is_proper_everywhere():
                 forms = set()
                 for color in range(1, k + 1):
                     for i in range(pinned):
-                        col = unrank_proper_distinguishing(rt, k, color, i)
+                        col = _pinned_proper(rt, k, color, i)
                         assert col.colors[rt.root] == color
                         assert is_proper(rt, col)
                         assert is_distinguishing(rt, col)
                         forms.add(coloring_orbit_form(rt, col))
-                    with pytest.raises(CountIndexError):
-                        unrank_proper_distinguishing(rt, k, color, pinned)
+                with pytest.raises(CountIndexError if pinned else NoColoringError):
+                    construct_proper_distinguishing_coloring(rt, k, k * pinned)
                 assert len(forms) == k * pinned
                 assert k * pinned == brute_count_classes(rt, k, proper=True).value
 
@@ -298,7 +309,7 @@ def test_properize_star_example():
 
 def test_properize_keeps_already_proper():
     rt = to_rooted(path(3))
-    col = unrank_proper_distinguishing(rt, 3, 1, 0)
+    col = _pinned_proper(rt, 3, 1, 0)
     assert properize(rt, col).colors == col.colors
 
 
@@ -371,6 +382,56 @@ def test_certificate_matches_parameters_small():
             table = CountTable(rt)
             pool = (cert.k - 1) * table.proper_raw(members[0], cert.k)
             assert pool < len(members)
+
+
+def _first_short_class(rt, k):
+    # the certificate's definition: the first (vertex, sibling class) in BFS
+    # and sibling-class order whose class outgrows its pool of proper classes
+    row = CountTable(rt).row(k - 1)
+    for v in rt.bfs_order:
+        for cid, members in rt.sibling_classes(v):
+            if (k - 1) * row[cid] < len(members):
+                return v, tuple(members)
+    return None
+
+
+def test_certificate_is_first_short_class():
+    seen = 0
+    for t in all_trees_up_to(10):
+        for rt in (to_rooted(t), RootedTree(t, 0)):
+            cert = chi_certificate(rt)
+            if cert is not None and not cert.degenerate:
+                assert (cert.vertex, cert.children) == _first_short_class(rt, cert.k)
+                seen += 1
+    assert seen > 100
+
+
+def test_certificate_with_two_short_classes():
+    # the smallest tree whose certificate vertex has two short sibling
+    # classes: {1, 2} comes before the leaves {3, 4} in code order, in
+    # whichever order the edges list them
+    for edges in ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6)],
+                  [(0, 3), (0, 4), (0, 1), (0, 2), (1, 5), (2, 6)]):
+        t = Tree([str(i) for i in range(7)], edges)
+        for rt in (to_rooted(t), RootedTree(t, 0)):
+            assert chi_certificate(rt) == Certificate(0, (1, 2), 2)
+
+
+def test_flat_sibling_order_is_built_by_walkers_only():
+    # parsing, count passes, the parameter searches and the certificate read
+    # child spans; the flat sibling order waits for a walker such as a witness
+    for t in (random_tree(1000, seed="flat-order"), path(401), path(6)):
+        rt = to_rooted(parse_tree(to_edge_list(t)))
+        count_distinguishing(rt, 3)
+        CountTable(rt).tree_proper(3)
+        d, chi, cert = parameters(rt)
+        assert (distinguishing_number(rt), distinguishing_chromatic_number(rt)) == (d, chi)
+        assert chi_certificate(rt) == cert
+        assert rt._groups is None
+        if cert is None:
+            assert rt._order is None
+        construct_distinguishing_coloring(rt, d)
+        assert rt._groups is not None
 
 
 # -- witness construction -----------------------------------------------------------

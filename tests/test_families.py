@@ -22,8 +22,8 @@ def test_free_tree_counts():
 
 
 def test_rooted_tree_counts():
-    expected = [1, 1, 2, 4, 9, 20, 48]
-    got = [len(nonisomorphic_rooted_trees(n)) for n in range(1, 8)]
+    expected = [1, 1, 2, 4, 9, 20, 48, 115]
+    got = [len(nonisomorphic_rooted_trees(n)) for n in range(1, 9)]
     assert got == expected
 
 

@@ -159,6 +159,14 @@ def test_to_rooted_edge_center(p4):
     assert original_tree(rt) is p4
 
 
+def test_to_rooted_reads_either_kind_of_tree(p4):
+    rt = RootedTree(p4, 0)
+    assert to_rooted(rt) is rt
+    assert to_rooted(to_rooted(p4)) is to_rooted(p4)
+    with pytest.raises(TypeError, match="expected Tree or RootedTree, got str"):
+        to_rooted("0 1")
+
+
 def test_to_rooted_single_edge_preserves_group():
     t = path(2)
     rt = to_rooted(t)
