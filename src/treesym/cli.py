@@ -21,6 +21,7 @@ from . import families, oracle
 from .construction import (
     STAR_COLOR,
     Coloring,
+    _shared_table,
     chi_certificate,
     construct_distinguishing_coloring,
     construct_proper_distinguishing_coloring,
@@ -94,11 +95,9 @@ def _parse_color(tok: str) -> int:
 
 
 def _coloring_lines(t, coloring: Coloring) -> list:
-    labels = t.labels
-    out = []
-    for v in sorted(coloring.colors, key=lambda v: labels[v]):
-        out.append(f"{labels[v]} {_render_color(coloring.colors[v])}")
-    return out
+    labels, colors = t.labels, coloring.colors
+    names = {c: _render_color(c) for c in set(colors.values())}
+    return [f"{labels[v]} {names[colors[v]]}" for v in sorted(colors, key=labels.__getitem__)]
 
 
 def _coloring_json(t, coloring: Coloring) -> dict:
@@ -126,7 +125,16 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
     start = time.perf_counter()
     rt = to_rooted(t)
     rooted_input = rt is t
-    d, chi, cert = parameters(rt)
+    with _shared_table(rt):
+        d, chi, cert = parameters(rt)
+        if witness:
+            # each coloring is dropped once its labelled map is made
+            witnesses = {
+                "distinguishing":
+                    _coloring_json(t, construct_distinguishing_coloring(rt, d)),
+                "proper_distinguishing":
+                    _coloring_json(t, construct_proper_distinguishing_coloring(rt, chi)),
+            }
     if chi not in (d, d + 1) or (cert is not None) != (chi == d + 1):
         raise AssertionError("internal inconsistency between parameters and certificate")
     base = t.base if rooted_input else t
@@ -157,12 +165,7 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
         "certificate": _certificate_json(rt, cert),
     }
     if witness:
-        plain = construct_distinguishing_coloring(rt, d)
-        proper = construct_proper_distinguishing_coloring(rt, chi)
-        report["witness"] = {
-            "distinguishing": _coloring_json(t, plain),
-            "proper_distinguishing": _coloring_json(t, proper),
-        }
+        report["witness"] = witnesses
     if counts_k is not None:
         table = CountTable(rt)
         report["counts"] = {
@@ -174,42 +177,48 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
     return report
 
 
-def _print_report(report: dict, as_json: bool):
-    if as_json:
-        print(json.dumps(report, sort_keys=True))
-        return
+def _emit(lines):
+    # one write for every line, as an unbuffered stdout makes each print a
+    # system call
+    sys.stdout.write("\n".join([*lines, ""]))
+
+
+def _report_lines(report: dict) -> list:
+    out = []
     info = report["input"]
     noun = "vertex" if info["n"] == 1 else "vertices"
     if info["kind"] == "rooted":
-        print(f"rooted tree on {info['n']} {noun}")
+        out.append(f"rooted tree on {info['n']} {noun}")
     else:
         kind = info["center_type"]
         ctr = ", ".join(info["center"])
-        print(f"tree on {info['n']} {noun}; center: {kind} ({ctr})"
-              + ("; reduction subdivides the central edge" if info["subdivided"] else ""))
-    print(f"distinguishing number D = {report['distinguishing_number']}")
-    print(f"distinguishing chromatic number chi_D = {report['distinguishing_chromatic_number']}")
+        out.append(f"tree on {info['n']} {noun}; center: {kind} ({ctr})"
+                   + ("; reduction subdivides the central edge" if info["subdivided"] else ""))
+    out.append(f"distinguishing number D = {report['distinguishing_number']}")
+    out.append(f"distinguishing chromatic number chi_D = "
+               f"{report['distinguishing_chromatic_number']}")
     cert = report["certificate"]
     if cert is None:
-        print("certificate: none (chi_D = D)")
+        out.append("certificate: none (chi_D = D)")
     elif cert["degenerate"]:
-        print("certificate: degenerate (D = 1 on at least two vertices)")
+        out.append("certificate: degenerate (D = 1 on at least two vertices)")
     else:
         kids = ", ".join(cert["children"])
-        print(f"certificate: vertex {cert['vertex']} with sibling class {{{kids}}} "
-              f"of size {len(cert['children'])}")
+        out.append(f"certificate: vertex {cert['vertex']} with sibling class {{{kids}}} "
+                   f"of size {len(cert['children'])}")
     if "witness" in report:
-        print("witness distinguishing coloring:")
-        for label in sorted(report["witness"]["distinguishing"]):
-            print(f"  {label} {report['witness']['distinguishing'][label]}")
-        print("witness proper distinguishing coloring:")
-        for label in sorted(report["witness"]["proper_distinguishing"]):
-            print(f"  {label} {report['witness']['proper_distinguishing'][label]}")
+        for title, key in (("witness distinguishing coloring:", "distinguishing"),
+                           ("witness proper distinguishing coloring:",
+                            "proper_distinguishing")):
+            colors = report["witness"][key]
+            out.append(title)
+            out += [f"  {label} {colors[label]}" for label in sorted(colors)]
     if "counts" in report:
         c = report["counts"]
-        print(f"classes at k={c['k']}: {c['distinguishing_classes']} distinguishing, "
-              f"{c['proper_distinguishing_classes']} proper distinguishing")
-    print(f"time: {report['timing_ms']} ms")
+        out.append(f"classes at k={c['k']}: {c['distinguishing_classes']} distinguishing, "
+                   f"{c['proper_distinguishing_classes']} proper distinguishing")
+    out.append(f"time: {report['timing_ms']} ms")
+    return out
 
 
 def cmd_analyze(args) -> int:
@@ -229,15 +238,20 @@ def cmd_analyze(args) -> int:
         if args.json:
             print(json.dumps(reports, sort_keys=True))
         else:
+            lines = []
             for rep in reports:
-                print(f"== {rep['file']} ==")
+                lines.append(f"== {rep['file']} ==")
                 if "error" in rep:
-                    print(f"error: {rep['error']}")
+                    lines.append(f"error: {rep['error']}")
                 else:
-                    _print_report(rep, False)
+                    lines += _report_lines(rep)
+            _emit(lines)
         return EXIT_INPUT if any("error" in rep for rep in reports) else EXIT_OK
-    t = _load_tree(args)
-    _print_report(_analyze_one(t, args.witness, args.counts), args.json)
+    report = _analyze_one(_load_tree(args), args.witness, args.counts)
+    if args.json:
+        print(json.dumps(report, sort_keys=True))
+    else:
+        _emit(_report_lines(report))
     return EXIT_OK
 
 
@@ -279,8 +293,7 @@ def cmd_color(args) -> int:
         build = (construct_proper_distinguishing_coloring if args.proper
                  else construct_distinguishing_coloring)
         coloring = build(rt, args.k, args.index or 0)
-    for line in _coloring_lines(t, coloring):
-        print(line)
+    _emit(_coloring_lines(t, coloring))
     return EXIT_OK
 
 

@@ -13,12 +13,14 @@ the strictly decreasing tuple of slot ranks in subset-rank order, where
 slot (c, i) has rank (position of c among the open colors) * f_a + i.
 It exists purely to make counts, ranks, and constructed witnesses
 deterministic and bijective.  Searches, certificate and witnesses read one
-saturating table (``_table``); only :func:`rank_distinguishing` is exact.
+saturating table (``_table``), which an analysis shares (``_shared_table``);
+only :func:`rank_distinguishing` is exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
 
@@ -99,8 +101,26 @@ def _table(t, idx: int = 0) -> CountTable:
     # entries clamp at max(idx, n) + 1, above every class size, so the
     # searches and the certificate stay exact, and above idx: the walker
     # splits idx as from exact counts, as an entry below the cap is exact
-    # and a clamped one exceeds every digit split off idx (quotient 0)
-    return CountTable(to_rooted(t), cap=idx + 1)
+    # and a clamped one exceeds every digit split off idx (quotient 0).
+    # Every idx <= n clamps at n + 1, as the shared table does
+    rt = to_rooted(t)
+    if rt._table is not None and idx <= rt.n:
+        return rt._table
+    return CountTable(rt, cap=idx + 1)
+
+
+@contextmanager
+def _shared_table(rt: RootedTree):
+    """Within the block, the searches, the certificate and every witness
+    at an index up to n on ``rt`` read one saturating table, with its rows
+    and walk plans.  It is dropped afterwards: kept on the view, it would
+    join the view's reference cycle with its tree, and every request
+    would leave it to the cyclic garbage collector."""
+    rt._table = CountTable(rt, cap=rt.n + 1)
+    try:
+        yield
+    finally:
+        rt._table = None
 
 
 def _search_d(table: CountTable) -> int:
@@ -207,40 +227,57 @@ def _subset_unrank_desc(r: int, m: int) -> list:
 
 
 def _unrank(table: CountTable, k: int, proper: bool, start: int,
-            root_color: int, idx: int) -> dict:
-    """The idx-th class, in the canonical order, of colorings of the subtree
-    at ``start`` with its root colored ``root_color``: a class of m siblings
-    takes the m-subset of rank r among the a * f(rep) (color, pinned class)
-    slots of its representative, a child's color being the slot's block in
-    the colors open to it."""
+            root_color: int, idx: int, out: list) -> None:
+    """Write into ``out`` the idx-th class, in the canonical order, of
+    colorings of the subtree at ``start`` with its root colored
+    ``root_color``: a class of m siblings takes the m-subset of rank r
+    among the a * f(rep) (color, pinned class) slots of its
+    representative, a child's color being the slot's block in the colors
+    open to it.  Children are read by offset in the flat sibling order,
+    through their parent's walk plan; leaves are written, not pushed."""
     rt = table.rt
     a = k - 1 if proper else k
     row = table.row(a)
-    total = row[rt.code_id(start)]
+    ids = rt.code_ids()
+    total = row[ids[start]]
     if not 0 <= idx < total:
         raise CountIndexError(f"index {idx} outside [0, {total})")
-    palette = range(1, k + 1)
-    out: dict = {}
-    stack = [(start, root_color, idx)]
+    plans = table._walk_plans(a)
+    grouped, span = rt._grouped(), rt._child_span
+    out[start] = root_color
+    stack = [(start, idx)]
+    push = stack.append
     while stack:
-        v, color, ix = stack.pop()
-        out[v] = color
-        infos = []
-        block = 1
-        for cid, members in rt.sibling_classes(v):
-            f = row[cid]
-            b = comb(a * f, len(members))
-            infos.append((members, f, b))
-            block *= b
-        allowed = [c for c in palette if c != color] if proper else palette
-        rem = ix
-        for members, f, b in infos:
-            block //= b
-            slots = _subset_unrank_desc(rem // block, len(members))
-            rem %= block
-            for child, slot in zip(members, slots):
-                stack.append((child, allowed[slot // f], slot % f))
-    return out
+        v, rem = stack.pop()
+        plan = plans[ids[v]]
+        if plan is None:
+            plan = table._plan(a, v)
+        # the j-th open color is j, or j + 1 from the parent's color on
+        skip = out[v] if proper else k + 1
+        pos = span[2 * v]
+        for m, f, later, leaf in plan:
+            q = 0
+            if rem >= later:
+                q, rem = divmod(rem, later)
+            if m == 1:
+                # a lone member's slot is the quotient itself
+                child = grouped[pos]
+                j, r = divmod(q, f)
+                j += 1
+                out[child] = j if j < skip else j + 1
+                if not leaf:
+                    push((child, r))
+                pos += 1
+                continue
+            end = pos + m
+            slots = _subset_unrank_desc(q, m) if q else range(m - 1, -1, -1)
+            for child, slot in zip(grouped[pos:end], slots):
+                j, r = divmod(slot, f)
+                j += 1
+                out[child] = j if j < skip else j + 1
+                if not leaf:
+                    push((child, r))
+            pos = end
 
 
 def _unrank_led(table: CountTable, k: int, proper: bool, idx: int) -> dict:
@@ -250,7 +287,9 @@ def _unrank_led(table: CountTable, k: int, proper: bool, idx: int) -> dict:
     f = table.row(k - 1 if proper else k)[rt.code_id(rt.root)]
     if not 0 <= idx < k * f:
         raise CountIndexError(f"index {idx} outside [0, {k * f})")
-    return _unrank(table, k, proper, rt.root, idx // f + 1, idx % f)
+    out = [0] * rt.n
+    _unrank(table, k, proper, rt.root, idx // f + 1, idx % f, out)
+    return dict(enumerate(out))
 
 
 def unrank_distinguishing(rt: RootedTree, k: int, index) -> Coloring:
@@ -269,17 +308,27 @@ def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
     for v in range(rt.n):
         if not 1 <= colors[v] <= k:
             raise ValueError(f"color {colors[v]} at vertex {v} outside 1..{k}")
-    row = CountTable(rt).row(k)
+    table = CountTable(rt)
+    row = table.row(k)
+    plans = table._walk_plans(k)
+    ids, grouped, span = rt.code_ids(), rt._grouped(), rt._child_span
     ranks = [0] * rt.n
+    # the unrank order in closed form: (color - 1) * f(v), plus each
+    # sibling class's subset rank times its plan's later blocks
     for v in reversed(rt.bfs_order):
-        idx = colors[v] - 1
-        for cid, members in rt.sibling_classes(v):
-            rs = sorted(ranks[c] for c in members)
-            if len(set(rs)) != len(rs):
+        plan = plans[ids[v]]
+        if plan is None:
+            plan = table._plan(k, v)
+        idx = (colors[v] - 1) * row[ids[v]]
+        pos = span[2 * v]
+        for m, _, later, _ in plan:
+            rs = sorted([ranks[c] for c in grouped[pos:pos + m]])
+            if len(set(rs)) != m:
                 raise NotDistinguishingError(
                     f"children of vertex {v} carry equivalent colorings"
                 )
-            idx = idx * comb(k * row[cid], len(rs)) + _subset_rank(rs)
+            idx += _subset_rank(rs) * later
+            pos += m
         ranks[v] = idx
     return BigCount(ranks[rt.root])
 
@@ -333,10 +382,11 @@ def construct_distinguishing_coloring(t, k: int | None = None,
             f"no distinguishing {k}-coloring exists;"
             f" need at least {_search_d(table)} colors"
         )
-    if rt.subdivided:
-        colors = _unrank(table, k, False, rt.root, 1, idx)
-        return Coloring(colors).restricted_to(range(rt.origin_count))
-    return Coloring(_unrank_led(table, k, False, idx))
+    if not rt.subdivided:
+        return Coloring(_unrank_led(table, k, False, idx))
+    out = [0] * rt.n
+    _unrank(table, k, False, rt.root, 1, idx, out)
+    return Coloring(dict(zip(range(rt.origin_count), out)))
 
 
 def _central_colors(k: int, twins: bool, pair: int) -> tuple:
@@ -385,5 +435,7 @@ def construct_proper_distinguishing_coloring(t, k: int | None = None,
     fv = table.proper_raw(v, k)
     pair, rem = divmod(idx, table.proper_raw(u, k) * fv)
     cu, cv = _central_colors(k, rt.code_id(u) == rt.code_id(v), pair)
-    return Coloring({**_unrank(table, k, True, u, cu, rem // fv),
-                     **_unrank(table, k, True, v, cv, rem % fv)})
+    out = [0] * rt.n
+    _unrank(table, k, True, u, cu, rem // fv, out)
+    _unrank(table, k, True, v, cv, rem % fv, out)
+    return Coloring(dict(zip(range(rt.origin_count), out)))

@@ -23,6 +23,7 @@ integers stay machine-small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 
 from .errors import SaturatedCountError
@@ -127,6 +128,8 @@ class CountTable:
         self.cap = _cap_value(cap)
         self._icap = None if self.cap is None else max(self.cap, rt.n + 1)
         self._rows: dict = {}
+        self._plans: dict = {}
+        self._plan_pool: dict = {}
 
     def _check_k(self, k: int) -> int:
         k = int(k)
@@ -145,6 +148,41 @@ class CountTable:
         if row is None:
             row = self._rows[a] = _pinned_pass(self.rt, a, self._icap)
         return row
+
+    def _walk_plans(self, a: int) -> list:
+        # walk plans of row a by class id, None until _plan builds one
+        plans = self._plans.get(a)
+        if plans is None:
+            plans = self._plans[a] = [None] * self.rt.class_count()
+        return plans
+
+    def _plan(self, a: int, v: int) -> tuple:
+        """The walk plan of v's class in row a, which the unrank and rank
+        walkers read: per sibling class below v in the flat sibling order,
+        (members m, f_a of the class, product of the later classes' blocks
+        C(a * f_a, m), whether it is the leaf class).  Every vertex of a
+        class has the same plan, so it is built from the first one a walk
+        meets; equal plans of different classes are kept once."""
+        rt = self.rt
+        row = self.row(a)
+        ids, span = rt.code_ids(), rt._child_span
+        kids = rt._grouped()[span[2 * v]:span[2 * v + 1]]
+        if not kids:
+            plan = ()
+        elif ids[kids[0]] == ids[kids[-1]]:
+            # one sibling class: no runs to find
+            c = ids[kids[0]]
+            plan = ((len(kids), row[c], 1, c == 0),)
+        else:
+            plan = []
+            later = 1
+            for c, run in reversed([(c, len(list(g)))
+                                    for c, g in groupby(kids, ids.__getitem__)]):
+                plan.append((run, row[c], later, c == 0))
+                later *= comb(a * row[c], run)
+            plan = tuple(reversed(plan))
+        plan = self._walk_plans(a)[ids[v]] = self._plan_pool.setdefault(plan, plan)
+        return plan
 
     def distinguishing_raw(self, v: int, k: int) -> int:
         k = self._check_k(k)

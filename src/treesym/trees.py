@@ -252,6 +252,8 @@ class RootedTree:
         self._groups: array | None = None
         self._sizes: tuple | None = None
         self._class_structure: tuple | None = None
+        # the saturating count table of a running analysis (construction)
+        self._table = None
 
     @property
     def children(self) -> tuple:
@@ -414,7 +416,9 @@ class RootedTree:
     def sibling_classes(self, v: int) -> list:
         """``(class id, members)`` per sibling class below ``v``, classes in
         the order of their codes and members ascending by vertex id: runs
-        of one class id in the flat sibling order, with no sort per call."""
+        of one class id in the flat sibling order, with no sort per call.
+        Fresh lists per call, for callers outside the rank and witness
+        walkers, which read the flat order by offset."""
         span = self._child_span
         kids = self._grouped()[span[2 * v]:span[2 * v + 1]]
         groups = itertools.groupby(kids, key=self._code_ids.__getitem__)
@@ -472,6 +476,12 @@ def _code_order(n_cls: int, owner, kids, mults, big: int) -> list:
     end = n_cls * big
     by_height = sorted(range(n_cls), key=height.__getitem__)
     for _, level in itertools.groupby(by_height, key=height.__getitem__):
+        level = list(level)
+        if len(level) == 1:
+            # a lone class needs no key
+            free -= 1
+            rank[level[0]] = free
+            continue
         keyed = sorted(((*sorted([rank[c] * big - m for c, m in
                                   zip(kids[start[cid]:start[cid + 1]],
                                       mults[start[cid]:start[cid + 1]])]), end), cid)

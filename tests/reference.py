@@ -1,5 +1,5 @@
 """Naive references for canonical codes, sibling-class order, rooted
-isomorphism and the tree front end.
+isomorphism, the tree front end and the witness walkers.
 
 Builds the Aho–Hopcroft–Ullman parenthesis string of every vertex's
 subtree directly, children sorted by their own strings, and orders sibling
@@ -7,8 +7,16 @@ classes by those strings.  Quadratic on deep trees; only for tests.  The
 isomorphism test backtracks over child matchings and never looks at codes.
 """
 
-from treesym import RootedTree, Tree
-from treesym.errors import InvalidTreeError, TreeSyntaxError
+from math import comb
+
+from treesym import CountTable, RootedTree, Tree
+from treesym.construction import _subset_unrank_desc
+from treesym.errors import (
+    CountIndexError,
+    InvalidTreeError,
+    NotDistinguishingError,
+    TreeSyntaxError,
+)
 
 
 def vertex_strings(rt) -> list:
@@ -220,3 +228,61 @@ def rooted(adj, root: int, halves=()) -> dict:
             pending[parent[v]].append(ids[v])
     return {"parent": parent, "depth": depth, "bfs_order": order,
             "children": [tuple(c) for c in children], "ids": ids, "pairs": pairs}
+
+
+# -- the per-vertex walkers -----------------------------------------------------
+# Unrank and rank as they were before walk plans: every vertex asks for its
+# sibling classes and recomputes their blocks C(a * f, m).  Only for
+# differential tests.
+
+
+def unrank(table, k: int, proper: bool, start: int, root_color: int, idx: int) -> dict:
+    """Colors by vertex id of the idx-th class of colorings of the subtree
+    at ``start``, its root colored ``root_color``, read from ``table``."""
+    rt = table.rt
+    a = k - 1 if proper else k
+    row = table.row(a)
+    total = row[rt.code_id(start)]
+    if not 0 <= idx < total:
+        raise CountIndexError(f"index {idx} outside [0, {total})")
+    palette = range(1, k + 1)
+    out: dict = {}
+    stack = [(start, root_color, idx)]
+    while stack:
+        v, color, ix = stack.pop()
+        out[v] = color
+        infos = []
+        block = 1
+        for cid, members in rt.sibling_classes(v):
+            f = row[cid]
+            b = comb(a * f, len(members))
+            infos.append((members, f, b))
+            block *= b
+        allowed = [c for c in palette if c != color] if proper else palette
+        rem = ix
+        for members, f, b in infos:
+            block //= b
+            slots = _subset_unrank_desc(rem // block, len(members))
+            rem %= block
+            for child, slot in zip(members, slots):
+                stack.append((child, allowed[slot // f], slot % f))
+    return out
+
+
+def rank(rt, k: int, colors) -> int:
+    """Index of a distinguishing k-coloring's class, by Horner's rule over
+    each vertex's color and its sibling classes' subset ranks."""
+    row = CountTable(rt).row(k)
+    ranks = [0] * rt.n
+    for v in reversed(rt.bfs_order):
+        idx = colors[v] - 1
+        for cid, members in rt.sibling_classes(v):
+            rs = sorted(ranks[c] for c in members)
+            if len(set(rs)) != len(rs):
+                raise NotDistinguishingError(
+                    f"children of vertex {v} carry equivalent colorings"
+                )
+            idx = idx * comb(k * row[cid], len(rs)) + sum(
+                comb(c, i + 1) for i, c in enumerate(rs))
+        ranks[v] = idx
+    return ranks[rt.root]

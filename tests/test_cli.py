@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -9,8 +10,10 @@ import pytest
 from treesym import (
     brute_count_classes,
     cli,
+    construct_distinguishing_coloring,
     distinguishing_chromatic_number,
     distinguishing_number,
+    parse_tree,
     to_edge_list,
     to_rooted,
 )
@@ -19,8 +22,8 @@ from treesym.families import all_trees_up_to, path, random_tree, spider, star
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_cli(*args, stdin=""):
-    env = dict(os.environ)
+def run_cli(*args, stdin="", **extra_env):
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "treesym", *args],
@@ -339,6 +342,41 @@ def test_batch_reports_every_file(tmp_path):
     assert text.returncode == 2
     assert "== b_bad.txt ==\nerror: " in text.stdout
     assert "== c_k13.txt ==\ntree on 4 vertices" in text.stdout
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, s):
+        self.calls += 1
+        return super().write(s)
+
+
+def test_multiline_output_is_one_write(tmp_path, monkeypatch):
+    # an unbuffered stdout, as under PYTHONUNBUFFERED, makes every write a
+    # system call: color, the text report and a text batch write once
+    src = tmp_path / "p2001.txt"
+    src.write_text(to_edge_list(path(2001)))
+    out = run_cli("color", str(src), PYTHONUNBUFFERED="1")
+    t = parse_tree(src.read_text())
+    lines = cli._coloring_lines(t, construct_distinguishing_coloring(t))
+    assert out.returncode == 0
+    assert out.stdout == "".join(f"{line}\n" for line in lines)
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "a_k13.txt").write_text(K13)
+    (d / "b_p4.txt").write_text(P4)
+    for argv in (["color", str(src)], ["analyze", "--witness", str(src)],
+                 ["analyze", "--batch", str(d), "--witness"]):
+        counted = _CountedWrites()
+        monkeypatch.setattr(sys, "stdout", counted)
+        assert run_in_process(*argv) == 0
+        monkeypatch.undo()
+        assert counted.calls == 1, argv
+        if argv[0] == "color":
+            assert counted.getvalue() == out.stdout
 
 
 def test_count_proper_list_edge_centered(p4_file, tmp_path):

@@ -31,7 +31,7 @@ from treesym import (
     to_rooted,
     unrank_distinguishing,
 )
-from treesym import counting
+from treesym import construction, counting
 from treesym.construction import _subset_unrank_desc, parameters
 from treesym.cli import _analyze_one
 from treesym.errors import (
@@ -48,9 +48,11 @@ from treesym.families import (
     path,
     random_tree,
     single_vertex,
+    spider,
     star,
 )
 
+import reference
 from conftest import tree_from
 from reference import extract_subtree, is_isomorphic_rooted
 
@@ -123,7 +125,8 @@ def test_witnesses_reuse_the_parameter_passes(monkeypatch):
 
     monkeypatch.setattr(counting, "_pinned_pass", counted)
     # a witness at the parameter reads the rows its own search built, on
-    # one saturating table, and never an exact row
+    # one saturating table, and never an exact row; an analysis builds
+    # each row once, for the searches and both witnesses
     for t in (random_tree(2000, seed="witness-passes"), path(41), path(40),
               star(5), double_star(2, 2)):
         for param, witness in ((distinguishing_number, construct_distinguishing_coloring),
@@ -138,6 +141,8 @@ def test_witnesses_reuse_the_parameter_passes(monkeypatch):
         passes.clear()
         _analyze_one(t, witness=True, counts_k=None)
         assert passes and all(icap is not None for _, icap in passes)
+        assert len({a for a, _ in passes}) == len(passes)
+        assert to_rooted(t)._table is None
 
 
 def test_witness_memory_linear_on_paths():
@@ -201,6 +206,90 @@ def test_rank_unrank_roundtrip_small():
                 for i in range(total):
                     col = unrank_distinguishing(rt, k, i)
                     assert rank_distinguishing(rt, k, col).value == i
+
+
+def _walk(table, k, proper, start, color, idx) -> dict:
+    out = [None] * table.rt.n
+    construction._unrank(table, k, proper, start, color, idx, out)
+    return {v: c for v, c in enumerate(out) if c is not None}
+
+
+def _binary(height: int) -> Tree:
+    n = 2 ** (height + 1) - 1
+    return Tree([str(i) for i in range(n)], [((i - 1) // 2, i) for i in range(1, n)])
+
+
+def _differential_views():
+    for t in all_trees_up_to(9):
+        yield to_rooted(t)
+        yield RootedTree(t, 0)
+    caterpillar = Tree([str(i) for i in range(60)],
+                       [(i, i + 1) for i in range(14)] + [(i % 15, i) for i in range(15, 60)])
+    for t in (path(2001), path(2000), caterpillar, spider(9, 9, 9, 4, 4), _binary(6)):
+        yield to_rooted(t)
+
+
+def test_walkers_match_the_per_vertex_reference():
+    # the unrank walker on walk plans against the per-vertex walker, from
+    # every start it is called at, on the saturating table a witness at
+    # that index reads; and the rank against Horner's rule.  Past nine
+    # vertices every third of the first 40 indices keeps the test short
+    for rt in _differential_views():
+        first = range(0, 40, 1 if rt.n <= 10 else 3)
+        d, chi, _ = parameters(rt)
+        exact = CountTable(rt)
+        for proper in (False, True):
+            for k in sorted({d, chi, chi + 1}):
+                row = exact.row(k - 1 if proper else k)
+                for start in (rt.root, *rt.halves):
+                    total = row[rt.code_id(start)]
+                    # past n a table clamps above the index, so the last
+                    # indices and 10^30 walk rows clamped there
+                    picks = {*first, rt.n - 1, rt.n, total // 2, total - 1, total, 10**30}
+                    for idx in sorted(i for i in picks if 0 <= i <= total):
+                        table = construction._table(rt, idx)
+                        for color in ({1, k} if proper else {1}):
+                            if idx == total:
+                                with pytest.raises(CountIndexError):
+                                    _walk(table, k, proper, start, color, idx)
+                                with pytest.raises(CountIndexError):
+                                    reference.unrank(table, k, proper, start, color, idx)
+                            else:
+                                assert (_walk(table, k, proper, start, color, idx)
+                                        == reference.unrank(table, k, proper, start, color, idx))
+                if proper:
+                    continue
+                # the plain unrank and rank, led by the root color
+                total = k * row[rt.code_id(rt.root)]
+                for idx in sorted({*first, total - 1, 10**30}):
+                    if 0 <= idx < total:
+                        col = unrank_distinguishing(rt, k, idx)
+                        f = construction._table(rt, idx).row(k)[rt.code_id(rt.root)]
+                        assert col.colors == reference.unrank(
+                            construction._table(rt, idx), k, False, rt.root,
+                            idx // f + 1, idx % f)
+                        assert (rank_distinguishing(rt, k, col).value
+                                == reference.rank(rt, k, col.colors) == idx)
+
+
+def test_witness_walkers_read_no_sibling_classes(monkeypatch):
+    # unrank, rank and both witnesses read the flat sibling order through
+    # walk plans, never through the per-call sibling_classes lists
+    def refuse(self, v):
+        raise AssertionError("a walker asked for sibling_classes")
+
+    monkeypatch.setattr(RootedTree, "sibling_classes", refuse)
+    for t in (random_tree(300, seed="no-sibling-lists"), path(41), path(40),
+              spider(3, 3, 2), double_star(2, 2)):
+        for rt in (to_rooted(t), RootedTree(t, 0)):
+            k = distinguishing_number(rt) + 1
+            col = unrank_distinguishing(rt, k, 1)
+            assert rank_distinguishing(rt, k, col).value == 1
+            # a witness colors the input tree, which a subdivided view is not
+            judge = t if rt.subdivided else rt
+            assert distinguishes(judge, construct_distinguishing_coloring(rt))
+            col = construct_proper_distinguishing_coloring(rt)
+            assert distinguishes(judge, col) and is_proper(judge, col)
 
 
 def _subset_unrank_linear(r: int, m: int) -> list:
