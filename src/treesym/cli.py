@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import random
 import sys
 import time
 from pathlib import Path
 
-from . import families, oracle
 from .construction import (
     STAR_COLOR,
     Coloring,
@@ -40,14 +38,10 @@ from .errors import (
     SaturatedCountError,
     TreeSyntaxError,
 )
-from .list_coloring import (
-    ListAssignment,
-    construct_list_distinguishing_coloring,
-    count_list_distinguishing,
-    count_proper_list_distinguishing,
-    parse_list_file,
-)
-from .trees import RootedTree, distinguishes, parse_tree, to_rooted
+from .trees import RootedTree, distinguishes, is_proper, parse_tree, to_rooted
+
+# json, the list code, the families and the oracle load only in the
+# branches that use them, so a request never pays for what it does not run.
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -222,6 +216,8 @@ def _report_lines(report: dict) -> list:
 
 
 def cmd_analyze(args) -> int:
+    import json
+
     if args.batch:
         paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         reports = []
@@ -261,6 +257,12 @@ def cmd_count(args) -> int:
     t = _load_tree(args)
     rt = to_rooted(t)
     if args.list:
+        from .list_coloring import (
+            count_list_distinguishing,
+            count_proper_list_distinguishing,
+            parse_list_file,
+        )
+
         assignment = parse_list_file(_read_input(args.list), t)
         if args.proper:
             print(count_proper_list_distinguishing(rt, assignment).value)
@@ -284,6 +286,8 @@ def cmd_color(args) -> int:
     t = _load_tree(args)
     rt = to_rooted(t)
     if args.list:
+        from .list_coloring import construct_list_distinguishing_coloring, parse_list_file
+
         assignment = parse_list_file(_read_input(args.list), t)
         coloring = construct_list_distinguishing_coloring(t, assignment,
                                                           proper=args.proper)
@@ -302,6 +306,8 @@ def cmd_certify(args) -> int:
     rt = to_rooted(t)
     cert = _certificate_json(rt, chi_certificate(rt))
     if args.json:
+        import json
+
         print(json.dumps(cert, sort_keys=True))
     elif cert is None:
         print("none")
@@ -343,7 +349,7 @@ def cmd_verify(args) -> int:
     t = _load_tree(args)
     coloring = _read_coloring_file(_read_input(args.coloring), t)
     problems = []
-    if args.proper and not oracle.is_proper(t, coloring):
+    if args.proper and not is_proper(t, coloring):
         problems.append("not proper")
     if not distinguishes(t, coloring):
         problems.append("preserved by a nontrivial automorphism")
@@ -355,36 +361,49 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import families, oracle
+    from .list_coloring import ListAssignment, construct_list_distinguishing_coloring
+
     max_n = args.max_n
     failures = 0
+    started = time.perf_counter()
 
-    def check(name: str, ok: bool):
-        nonlocal failures
-        print(f"{'ok' if ok else 'FAIL'}  {name}")
+    def check(name: str, ok: bool, cases: int, noun: str):
+        # each line ends with the cases it checked and the seconds they took
+        nonlocal failures, started
+        now = time.perf_counter()
+        noun += "" if cases == 1 else "s"
+        print(f"{'ok' if ok else 'FAIL'}  {name} ({cases} {noun}, {now - started:.2f} s)")
+        started = now
         if not ok:
             failures += 1
 
     for n in range(2, max_n + 1):
+        trees = families.nonisomorphic_trees(n)
         agree = True
-        for t in families.nonisomorphic_trees(n):
+        for t in trees:
             if distinguishing_number(t) != oracle.brute_distinguishing_number(t):
                 agree = False
             if (distinguishing_chromatic_number(t)
                     != oracle.brute_chromatic_distinguishing_number(t)):
                 agree = False
-        check(f"parameters match brute force on all trees with n={n}", agree)
+        check(f"parameters match brute force on all trees with n={n}", agree,
+              len(trees), "tree")
 
     for n in range(2, min(max_n, 8) + 1):
+        trees = families.nonisomorphic_trees(n)
         agree = True
-        for t in families.nonisomorphic_trees(n):
+        for t in trees:
             d, chi, cert = parameters(t)
             if (cert is not None) != (chi == d + 1):
                 agree = False
-        check(f"certificate presence matches chi_D = D + 1 at n={n}", agree)
+        check(f"certificate presence matches chi_D = D + 1 at n={n}", agree,
+              len(trees), "tree")
 
     for n in range(2, min(max_n, 6) + 1):
-        agree = tree_agree = True
-        for t in families.nonisomorphic_trees(n):
+        trees = families.nonisomorphic_trees(n)
+        agree = True
+        for t in trees:
             rt = to_rooted(t)
             table = CountTable(rt)
             for k in (1, 2, 3):
@@ -394,15 +413,22 @@ def cmd_selftest(args) -> int:
                 if (k * table.proper_raw(rt.root, k)
                         != oracle.brute_count_classes(rt, k, proper=True).value):
                     agree = False
+        check(f"counts match exhaustive enumeration at n={n}", agree,
+              len(trees), "tree")
+        agree = True
+        for t in trees:
+            table = CountTable(to_rooted(t))
+            for k in (1, 2, 3):
                 if ((table.tree_distinguishing(k), table.tree_proper(k))
                         != (oracle.brute_count_classes(t, k).value,
                             oracle.brute_count_classes(t, k, proper=True).value)):
-                    tree_agree = False
-        check(f"counts match exhaustive enumeration at n={n}", agree)
-        check(f"input-tree counts match exhaustive enumeration at n={n}", tree_agree)
+                    agree = False
+        check(f"input-tree counts match exhaustive enumeration at n={n}", agree,
+              len(trees), "tree")
 
     top = min(max_n, 6)
     ok = True
+    cases = 0
     rng = random.Random(6)
     for n in range(1, top + 1):
         for t in families.nonisomorphic_trees(n):
@@ -411,23 +437,26 @@ def cmd_selftest(args) -> int:
                 lists = ListAssignment.from_dict(
                     {v: rng.sample(range(1, 2 * k + 1), k) for v in range(n)})
                 col = construct_list_distinguishing_coloring(t, lists, proper=proper)
+                cases += 1
                 if (col is None or any(col[v] not in lists.get(v) for v in range(n))
                         or not oracle.is_distinguishing(t, col)
-                        or (proper and not oracle.is_proper(t, col))):
+                        or (proper and not is_proper(t, col))):
                     ok = False
     check(f"lists of size D (chi_D if proper) admit verified witnesses up to n={top}",
-          ok)
+          ok, cases, "list assignment")
 
     top = min(max_n, 7)
     agree = True
+    cases = 0
     for n in range(1, top + 1):
         for t in families.nonisomorphic_trees(n):
             for colors in itertools.product((1, 2), repeat=n):
                 coloring = dict(enumerate(colors))
+                cases += 1
                 if distinguishes(t, coloring) != oracle.is_distinguishing(t, coloring):
                     agree = False
     check(f"verify matches the automorphism group on all 2-colorings up to n={top}",
-          agree)
+          agree, cases, "coloring")
 
     print(f"selftest: {'PASS' if failures == 0 else f'{failures} FAILURES'}")
     return EXIT_OK if failures == 0 else EXIT_FAIL

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from math import comb
 
-from .counting import BigCount, CountTable
+from .counting import BigCount, CountTable, _Frozen
 from .errors import (
     CountIndexError,
     NoColoringError,
@@ -36,11 +35,13 @@ from .trees import RootedTree, _color_map, to_rooted
 STAR_COLOR = 0
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Frozen):
     """Total assignment of color ids to vertex ids."""
 
-    colors: dict
+    __slots__ = ("colors",)
+
+    def __init__(self, colors: dict):
+        object.__setattr__(self, "colors", colors)
 
     def __getitem__(self, v: int) -> int:
         return self.colors[v]
@@ -50,16 +51,18 @@ class Coloring:
         return Coloring({v: c for v, c in self.colors.items() if v in keep})
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Frozen):
     """Witness that the proper variant needs one extra color: a vertex of
     the rooted reduction together with a full sibling class that is too
     large for the colorings available to it."""
 
-    vertex: int
-    children: tuple
-    k: int
-    degenerate: bool = False
+    __slots__ = ("vertex", "children", "k", "degenerate")
+
+    def __init__(self, vertex: int, children: tuple, k: int, degenerate: bool = False):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def _exact_index(index) -> int:

@@ -22,7 +22,6 @@ integers stay machine-small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from math import comb
 
@@ -30,24 +29,62 @@ from .errors import SaturatedCountError
 from .trees import RootedTree
 
 
-@dataclass(frozen=True)
-class BigCount:
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    The fields are a subclass's ``__slots__``, in order.  Equality, hash and
+    repr are field-wise, as a frozen dataclass's, and every assignment or
+    deletion raises AttributeError; each subclass's constructor sets its
+    fields through ``object.__setattr__``.  Frozen dataclasses would do the
+    same, but importing :mod:`dataclasses` adds about 4 ms to every cold
+    CLI request.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class BigCount(_Frozen):
     """Nonnegative count; ``saturated`` means the true value is >= ``cap``
     and was clamped there.  Unsaturated values are exact."""
 
-    value: int
-    saturated: bool = False
-    cap: int | None = None
+    __slots__ = ("value", "saturated", "cap")
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int, saturated: bool = False, cap: int | None = None):
+        if value < 0:
             raise ValueError("count cannot be negative")
-        if self.cap is not None and self.cap < 1:
+        if cap is not None and cap < 1:
             raise ValueError("cap must be a positive integer")
-        if self.saturated and (self.cap is None or self.value != self.cap):
+        if saturated and (cap is None or value != cap):
             raise ValueError("a saturated count must sit exactly at its cap")
-        if not self.saturated and self.cap is not None and self.value >= self.cap:
+        if not saturated and cap is not None and value >= cap:
             raise ValueError("an exact count must lie strictly below its cap")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "saturated", saturated)
+        object.__setattr__(self, "cap", cap)
 
     def __int__(self):
         return self.value

@@ -14,7 +14,8 @@ class ListFormatError(ValueError):
 
 
 class EnumerationBoundError(RuntimeError):
-    """An exhaustive computation would exceed its configured work bound."""
+    """An exhaustive computation would exceed its configured work bound;
+    the message names the parameter that sets the bound."""
 
 
 class ClassCapError(RuntimeError):

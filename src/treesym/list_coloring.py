@@ -26,10 +26,10 @@ from math import prod
 from .construction import Coloring
 from .counting import BigCount
 from .errors import ClassCapError, ListFormatError
-from .oracle import is_proper
 from .trees import (
     RootedTree,
     distinguishes,
+    is_proper,
     original_tree,
     to_rooted,
     vertex_orbits,

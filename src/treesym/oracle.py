@@ -14,7 +14,9 @@ from math import factorial
 
 from .counting import BigCount
 from .errors import EnumerationBoundError
-from .trees import RootedTree, Tree, _color_map, center, to_rooted
+# is_proper lives beside distinguishes and is re-exported here with the
+# other coloring predicates
+from .trees import RootedTree, Tree, _color_map, _edge_pairs, center, is_proper, to_rooted
 
 DEFAULT_GROUP_BOUND = 1_000_000
 DEFAULT_COLORING_BOUND = 10_000_000
@@ -49,15 +51,11 @@ def _vertex_count(t) -> int:
     return t.n if isinstance(t, (Tree, RootedTree)) else len(t)
 
 
-def _edge_pairs(t) -> list:
-    ends = (t.base if isinstance(t, RootedTree) else t)._ends
-    return list(zip(ends[0::2], ends[1::2]))
-
-
 # -- automorphism groups -----------------------------------------------------
 
 
-def _group_order(rt: RootedTree, bound: int) -> int:
+def _group_order(rt: RootedTree, bound: int, knob: str) -> int:
+    # ``knob`` names the caller's parameter that set ``bound``
     ids = rt.code_ids()
     owner, _, mults = rt.class_structure()
     swaps = [1] * rt.class_count()
@@ -68,7 +66,8 @@ def _group_order(rt: RootedTree, bound: int) -> int:
         order *= swaps[ids[v]]
         if order > bound:
             raise EnumerationBoundError(
-                f"automorphism group order exceeds bound {bound}"
+                f"automorphism group order exceeds {knob}={bound}"
+                f" (the {knob} argument)"
             )
     return order
 
@@ -88,8 +87,7 @@ def _canonical_iso(rt: RootedTree, a: int, b: int) -> dict:
     return out
 
 
-def _rooted_perms(rt: RootedTree, bound: int) -> list:
-    _group_order(rt, bound)
+def _rooted_perms(rt: RootedTree) -> list:
     ids = rt.code_ids()
     maps: dict = {}
     for v in reversed(rt.bfs_order):
@@ -128,23 +126,20 @@ def enumerate_automorphisms(t, bound: int = DEFAULT_GROUP_BOUND) -> AutGroup:
     the reduction restricted to the original vertices is exactly the
     group of the tree.
     """
-    if isinstance(t, RootedTree):
-        perms = _rooted_perms(t, bound)
-    else:
-        rt = to_rooted(t)
-        perms = _rooted_perms(rt, bound)
-        if rt.subdivided:
-            perms = [p[: t.n] for p in perms]
+    return _automorphisms(t, bound, "bound")
+
+
+def _automorphisms(t, bound: int, knob: str) -> AutGroup:
+    rt = to_rooted(t)
+    _group_order(rt, bound, knob)
+    perms = _rooted_perms(rt)
+    if rt is not t and rt.subdivided:
+        # an unrooted tree's group leaves out the synthetic center
+        perms = [p[: t.n] for p in perms]
     return AutGroup(tuple(Automorphism(p) for p in perms))
 
 
 # -- coloring predicates -----------------------------------------------------
-
-
-def is_proper(t, coloring) -> bool:
-    """No edge joins same-colored endpoints."""
-    colors = _color_map(coloring)
-    return all(colors[u] != colors[v] for u, v in _edge_pairs(t))
 
 
 def is_distinguishing(t, coloring, bound: int = DEFAULT_GROUP_BOUND) -> bool:
@@ -195,9 +190,10 @@ def brute_count_classes(t, k: int | None = None, proper: bool = False,
         total *= len(p)
         if total > bound:
             raise EnumerationBoundError(
-                f"coloring enumeration of size {total}+ exceeds bound {bound}"
+                f"coloring enumeration of size {total}+ exceeds bound={bound}"
+                " (the bound argument)"
             )
-    group = enumerate_automorphisms(t, group_bound)
+    group = _automorphisms(t, group_bound, "group_bound")
     nontrivial = group.nontrivial_perms()
     all_perms = [a.perm for a in group.elements]
     edges = _edge_pairs(t)
@@ -230,7 +226,7 @@ def _search_distinguishing(t, k: int, proper: bool,
         rt = t
     else:
         rt = RootedTree(t, min(center(t)))
-    group = enumerate_automorphisms(t, group_bound)
+    group = _automorphisms(t, group_bound, "group_bound")
     nontrivial = group.nontrivial_perms()
     n = rt.n
     rng = range(n)
@@ -276,7 +272,8 @@ def _search_distinguishing(t, k: int, proper: bool,
             budget[0] -= 1
             if budget[0] < 0:
                 raise EnumerationBoundError(
-                    f"search exceeded {node_bound} nodes"
+                    f"search exceeded node_bound={node_bound} nodes"
+                    " (the node_bound argument)"
                 )
             colors[v] = c
             pushed = []

@@ -568,6 +568,18 @@ def _color_map(coloring, n: int | None = None):
     return colors
 
 
+def _edge_pairs(t) -> list:
+    # the input edges of a tree, or of a rooted view's base tree, as pairs
+    ends = (t.base if isinstance(t, RootedTree) else t)._ends
+    return list(zip(ends[0::2], ends[1::2]))
+
+
+def is_proper(t, coloring) -> bool:
+    """No edge joins same-colored endpoints."""
+    colors = _color_map(coloring)
+    return all(colors[u] != colors[v] for u, v in _edge_pairs(t))
+
+
 _SYNTHETIC_COLOR = object()
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -430,7 +431,14 @@ def test_selftest_refuses_max_n_below_2(max_n):
 def test_selftest():
     out = run_cli("selftest", "--max-n", "5")
     assert out.returncode == 0
-    assert "selftest: PASS" in out.stdout
+    *checks, last = out.stdout.splitlines()
+    assert last == "selftest: PASS"
+    # every check line ends with its case count and seconds
+    assert len(checks) == 18
+    for line in checks:
+        m = re.fullmatch(r"ok  .+ \((\d+) ([a-z ]+), \d+\.\d\d s\)", line)
+        assert m and int(m[1]) > 0 and m[2].endswith("s") == (m[1] != "1"), line
+    assert "brute force on all trees with n=5 (3 trees, " in checks[3]
 
 
 @pytest.mark.parametrize("case", ["counts-zero", "not-utf8", "directory",

@@ -82,8 +82,13 @@ def test_group_closure_and_identity():
 
 
 def test_group_bound():
-    with pytest.raises(EnumerationBoundError):
+    with pytest.raises(EnumerationBoundError, match=r"exceeds bound=100 \(the bound argument\)"):
         enumerate_automorphisms(star(10), bound=100)
+    # the brute-force functions set the same group bound through group_bound
+    with pytest.raises(EnumerationBoundError, match=r"exceeds group_bound=100 \(the group_bound"):
+        brute_count_classes(star(10), 1, group_bound=100)
+    with pytest.raises(EnumerationBoundError, match=r"exceeds group_bound=100 \(the group_bound"):
+        brute_distinguishing_number(star(10), group_bound=100)
 
 
 def test_z2_for_distinguishing_parity_colorings():
@@ -151,7 +156,7 @@ def test_brute_count_p3_proper(p3):
 
 
 def test_brute_count_bound():
-    with pytest.raises(EnumerationBoundError):
+    with pytest.raises(EnumerationBoundError, match=r"exceeds bound=1000 \(the bound argument\)"):
         brute_count_classes(to_rooted(path(9)), 9, bound=1000)
 
 
@@ -200,7 +205,7 @@ def test_search_agrees_with_raw_scan():
 
 
 def test_search_node_bound():
-    with pytest.raises(EnumerationBoundError):
+    with pytest.raises(EnumerationBoundError, match=r"node_bound=50 nodes \(the node_bound"):
         brute_distinguishing_number(star(8), node_bound=50)
 
 
