@@ -37,25 +37,25 @@ class Tree:
             ends = list(map(int, itertools.chain.from_iterable(edges)))
         except (TypeError, ValueError):
             _reject(labels, edges)
-        if len(ends) != 2 * len(edges):
+        if len(ends) != 2 * len(edges) or (
+                labels and ends and (min(ends) < 0 or max(ends) >= len(labels))):
             _reject(labels, edges)
-        self._build(labels, ends, edges)
+        self._build(labels, array("i", ends), edges)
 
-    def _build(self, labels: tuple, ends, edges=None):
-        # the tree checks: n - 1 edges over known ids, and a leaf strip
-        # that peels every vertex (it stalls exactly on a cycle, and a
-        # self-loop or a repeated edge is one).  A failed check is worded
-        # by _reject, over ``edges`` or else the pairs of ``ends``
+    def _build(self, labels: tuple, ends: array, edges=None):
+        # the tree checks, on endpoints that are known ids: n - 1 edges,
+        # and a leaf strip that peels every vertex (it stalls exactly on a
+        # cycle, and a self-loop or a repeated edge is one).  A failed
+        # check is worded by _reject, over ``edges`` or else the pairs of
+        # ``ends``
         n = len(labels)
         if n == 0:
             raise InvalidTreeError("empty input: a tree needs at least one vertex")
-        stripped = None
-        if len(ends) == 2 * (n - 1) and (not ends or (min(ends) >= 0 and max(ends) < n)):
-            stripped = _strip(n, ends)
+        stripped = _strip(n, ends) if len(ends) == 2 * (n - 1) else None
         if stripped is None:
             _reject(labels, zip(ends[0::2], ends[1::2]) if edges is None else edges)
         self.labels = labels
-        self._ends = array("i", ends)
+        self._ends = ends
         self._adj_off, self._adj, self._center = stripped
         self._ids: dict | None = None
         self._rooted: "RootedTree | None" = None
@@ -87,15 +87,19 @@ class Tree:
         return f"Tree(n={self.n})"
 
 
-def _strip(n: int, ends) -> tuple | None:
+def _strip(n: int, ends: array) -> tuple | None:
     """``(offsets, neighbours, center)`` of the graph with edge endpoints
     ``ends``, or None when stripping leaves stalls before every vertex is
     gone, which happens exactly when the edges close a cycle (a self-loop
     adds 2 to a degree that no step removes).  The strip keeps no
     adjacency: a leaf's one remaining neighbour is the XOR of its
-    remaining neighbours.  The center is the last layer stripped."""
+    remaining neighbours.  The center is the last layer stripped.
+
+    Degrees and slot counts are mostly small cached ints and the XORs live
+    in a typed view, so only the layer being peeled and the next one hold
+    a Python int per vertex."""
     deg = [0] * n
-    nbr = [0] * n
+    nbr = memoryview(array("i", bytes(4 * n)))
     it = iter(ends)
     for u, v in zip(it, it):
         deg[u] += 1
@@ -103,32 +107,38 @@ def _strip(n: int, ends) -> tuple | None:
         nbr[u] ^= v
         nbr[v] ^= u
     off = array("i", itertools.accumulate(deg, initial=0))
-    # a vertex joins the queue when its degree drops to 1, one layer after
-    # the leaf that exposed it; the queue visits layers in order
-    queue = [v for v in range(n) if deg[v] <= 1]
-    start, end = 0, len(queue)
-    for i, v in enumerate(queue):
-        if i == end:
-            start, end = i, len(queue)
-        if deg[v]:
-            w = nbr[v]
-            nbr[w] ^= v
-            deg[w] -= 1
-            if deg[w] == 1:
-                queue.append(w)
-    if len(queue) < n:
+    # a vertex joins the next layer when its degree drops to 1, exposed by
+    # a leaf of this one; layers only shrink
+    layer = [v for v in range(n) if deg[v] <= 1]
+    peeled = 0
+    while True:
+        peeled += len(layer)
+        exposed = []
+        for v in layer:
+            if deg[v]:
+                w = nbr[v]
+                nbr[w] ^= v
+                d = deg[w] - 1
+                deg[w] = d
+                if d == 1:
+                    exposed.append(w)
+        if not exposed:
+            break
+        layer = exposed
+    if peeled < n:
         return None
-    center = tuple(sorted(queue[start:]))
-    del queue, nbr, deg
-    # neighbours in input-edge order: a counting sort by endpoint
-    fill = off.tolist()
+    center = tuple(sorted(layer))
+    del layer, nbr, deg
+    # neighbours in input-edge order: a counting sort by endpoint, with
+    # ``used[v]`` of v's slots filled so far
+    used = [0] * n
     adj = array("i", bytes(4 * len(ends)))
     it = iter(ends)
     for u, v in zip(it, it):
-        adj[fill[u]] = v
-        fill[u] += 1
-        adj[fill[v]] = u
-        fill[v] += 1
+        adj[off[u] + used[u]] = v
+        used[u] += 1
+        adj[off[v] + used[v]] = u
+        used[v] += 1
     return off, adj, center
 
 
@@ -224,7 +234,8 @@ class RootedTree:
         parent = [-1] * n
         span = array("i", bytes(8 * n))
         order = [root, *halves]
-        span[2 * root], span[2 * root + 1] = 1, len(order)
+        spans = memoryview(span)  # stores through a view skip array's parsing
+        spans[2 * root], spans[2 * root + 1] = 1, len(order)
         it = iter(order)
         if halves:
             u, v = halves
@@ -233,12 +244,12 @@ class RootedTree:
         off, adj = t._adj_off, t._adj
         for v in it:
             p = parent[v]
-            span[2 * v] = len(order)
+            spans[2 * v] = len(order)
             for w in adj[off[v]:off[v + 1]]:
                 if w != p:
                     parent[w] = v
                     order.append(w)
-            span[2 * v + 1] = len(order)
+            spans[2 * v + 1] = len(order)
         for w in halves:
             parent[w] = root
         self.root = root
@@ -363,10 +374,17 @@ class RootedTree:
                         if key[0] == 0:
                             leaves = max(leaves, key.count(0))
                 ids[v] = cid
-            self._code_ids = tuple(ids)
-            self._class_structure = (tuple(owner), tuple(kids), tuple(mults))
             self._class_count = len(table) + 1
             self._leaf_bound = leaves
+            # the keys go before the tuple copies, and each list as soon as
+            # it is copied
+            del table
+            self._code_ids = tuple(ids)
+            del ids
+            owner = tuple(owner)
+            kids = tuple(kids)
+            mults = tuple(mults)
+            self._class_structure = (owner, kids, mults)
         return self._code_ids
 
     def leaf_bound(self) -> int:
@@ -628,10 +646,69 @@ def parse_tree(text: str, fmt: str = "edge-list"):
 
 
 def _parse_edge_list(text: str) -> Tree:
-    # tokenizing only: the Tree checks validate the structure.  Tokens go
-    # to flat lists, and ids follow first occurrence, lone labels included
-    named, toks = [], []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # tokenizing only: the Tree checks validate the structure.  The text
+    # is read in chunks cut after a newline, so no list of every line or
+    # token is held.  Ids follow first occurrence, lone labels included,
+    # and endpoints go straight to an int array
+    ids: dict = {}
+    ends = array("i")
+    lineno = 0
+    pos, size = 0, len(text)
+    while pos < size:
+        cut = text.find("\n", pos + _CHUNK) + 1 or size
+        chunk = text[pos:cut]
+        pos = cut
+        toks = _pairs(chunk)
+        if toks is None:
+            lineno = _read_lines(chunk, lineno, ids, ends)
+        else:
+            lineno += len(toks) >> 1
+            ends.fromlist(_ids_of(ids, toks))
+    labels = tuple(ids)
+    del ids
+    t = object.__new__(Tree)
+    t._build(labels, ends)
+    return t
+
+
+_CHUNK = 1 << 14  # characters per tokenizer chunk, before its newline
+
+
+def _pairs(chunk: str) -> list | None:
+    """The tokens of ``chunk`` when each of its lines holds exactly two,
+    found by C-level splits alone, or None when the chunk needs the
+    line-by-line reader: for a blank, comment, lone-label or bad line, or
+    a line break other than ``\\n`` and ``\\r\\n``.  A ``\\0`` token
+    marks each line end, so the lines are all pairs exactly when every
+    third token is a marker."""
+    if ("#" in chunk or "\0" in chunk or "\x0b" in chunk or "\x0c" in chunk
+            or "\x1c" in chunk or "\x1d" in chunk or "\x1e" in chunk
+            or chunk.count("\r") != chunk.count("\r\n")
+            or not chunk.isascii() and ("\x85" in chunk or "\u2028" in chunk
+                                        or "\u2029" in chunk)):
+        return None
+    toks = chunk.replace("\n", " \0 ").split()
+    lines = chunk.count("\n")
+    if chunk[-1] != "\n":
+        toks.append("\0")
+        lines += 1
+    if len(toks) != 3 * lines or toks[2::3].count("\0") != lines:
+        return None
+    del toks[2::3]
+    return toks
+
+
+def _ids_of(ids: dict, toks) -> list:
+    # each token's id, a new label taking the next one: map reads len(ids)
+    # just before each setdefault call
+    return list(map(ids.setdefault, toks, map(len, itertools.repeat(ids))))
+
+
+def _read_lines(chunk: str, lineno: int, ids: dict, ends: array) -> int:
+    # the line-by-line reader: the ids and endpoints of ``chunk``, whose
+    # first line is number lineno + 1, and the number of its last line
+    toks: list = []
+    for lineno, raw in enumerate(chunk.splitlines(), lineno + 1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -639,17 +716,15 @@ def _parse_edge_list(text: str) -> Tree:
             raise TreeSyntaxError(
                 f"line {lineno}: expected two whitespace-separated labels, got {len(parts)}"
             )
-        named += parts
         if len(parts) == 2:
             toks += parts
-    ids = dict.fromkeys(named)
-    for i, s in enumerate(ids):
-        ids[s] = i
-    ends = list(map(ids.__getitem__, toks))
-    del named, toks
-    t = object.__new__(Tree)
-    t._build(tuple(ids), ends)
-    return t
+        else:
+            # a lone label takes its id after the labels of earlier lines
+            ends.fromlist(_ids_of(ids, toks))
+            toks.clear()
+            ids.setdefault(parts[0], len(ids))
+    ends.fromlist(_ids_of(ids, toks))
+    return lineno
 
 
 def _parse_parens(text: str) -> RootedTree:

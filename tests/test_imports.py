@@ -21,7 +21,8 @@ with open(sys.argv[1], "w") as out:
 sys.exit(code)
 """
 
-OFF_PATH = {"treesym.oracle", "treesym.list_coloring", "treesym.families"}
+OFF_PATH = {"treesym.oracle", "treesym.list_coloring", "treesym.families",
+            "treesym.selftest"}
 
 
 def _python(*args):
@@ -79,7 +80,14 @@ def test_request_loads_only_what_it_runs(tmp_path, files, bare, request_args):
 
 def test_count_list_loads_the_list_code(tmp_path, files):
     tree, _, lists = files
-    assert "treesym.list_coloring" in _loaded(tmp_path, "count", tree, "--list", lists)
+    loaded = _loaded(tmp_path, "count", tree, "--list", lists)
+    assert "treesym.list_coloring" in loaded
+    assert "treesym.selftest" not in loaded
+
+
+def test_selftest_alone_loads_its_checks(tmp_path):
+    loaded = _loaded(tmp_path, "selftest", "--max-n", "2")
+    assert {"treesym.selftest", "treesym.oracle", "treesym.families"} <= loaded
 
 
 def test_bare_import_loads_no_submodule():

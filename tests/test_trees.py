@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesym import trees
 from treesym import (
     RootedTree,
     Tree,
@@ -533,6 +534,94 @@ def test_parse_error_parity(text, message):
     with pytest.raises(err) as got:
         parse_tree(text)
     assert str(got.value) == message
+
+
+# -- the chunked tokenizer against the line-by-line reader --------------------
+
+# pairs over several tokenizer chunks, one label per line new
+_PAIRS = "".join(f"x{i} x{i + 1}\n" for i in range(6000))
+
+_TOKENIZER_CASES = [
+    ("pairs", "a b\nb c\nc d\n"),
+    ("blank-and-comment-lines", "\n# a path\na b\n\n  # b x\nb c\n \t\n"),
+    ("labels-with-hash", "a#1 b#\nb# #c\n"),
+    ("comment-between-pairs", "a b\n#c d\nb c\n"),
+    ("lone-labels", "a\na b\nc\nb c\n"),
+    ("lone-label-after-pairs", _PAIRS + "z\n"),
+    ("one-vertex", "solo\n"),
+    ("one-vertex-no-newline", "solo"),
+    ("three-tokens-first-chunk", "a b\nb c d\nc e\n"),
+    ("three-tokens-after-boundary", _PAIRS + "p q r\n"),
+    ("crlf", "a b\r\nb c\r\nc d\r\n"),
+    ("lone-cr", "a b\rb c\rc d\r"),
+    ("cr-splits-a-pair", "a\rb\nb c\n"),
+    ("vertical-tab", "a\x0bb\nb c\n"),
+    ("form-feed", "a b\x0cb c\n"),
+    ("separators-1c-1e", "a b\x1cb c\x1dc d\x1ed e\n"),
+    ("next-line", "a b\x85b c\n"),
+    ("line-separator", "a b\u2028b c\n"),
+    ("paragraph-separator", "a b\u2029b c\n"),
+    ("tabs", "a\tb\n\tb \t c\t\n"),
+    ("unicode-spaces", "a\xa0b\nb\u3000c\n"),
+    ("nul-in-label", "a b\nb\x00 c\n"),
+    ("no-final-newline", "a b\nb c"),
+    ("empty", ""),
+    ("whitespace-only", " \t \n  \n"),
+    ("new-labels-in-later-chunks", _PAIRS + "".join(f"y{i} x{i}\n" for i in range(3000))),
+    ("cycle-after-boundary", _PAIRS + "x0 x6000\n"),
+]
+
+
+def _parse_outcome(text: str):
+    # labels, edges and center of a parse, or the type and text of its error
+    try:
+        t = parse_tree(text)
+    except (TreeSyntaxError, InvalidTreeError) as exc:
+        return type(exc), str(exc)
+    return t.labels, t.edges, center(t)
+
+
+def _reference_outcome(text: str):
+    try:
+        labels, edges = reference.parse_edge_list(text)
+    except (TreeSyntaxError, InvalidTreeError) as exc:
+        return type(exc), str(exc)
+    return (tuple(labels), tuple(tuple(sorted(e)) for e in edges),
+            reference.tree_center(reference.neighbours(len(labels), edges)))
+
+
+@pytest.mark.parametrize("text", [c[1] for c in _TOKENIZER_CASES],
+                         ids=[c[0] for c in _TOKENIZER_CASES])
+def test_tokenizer_matches_line_reader(text, monkeypatch):
+    # the split check and the line-by-line reader answer alike, at any
+    # chunk size, and as the independent per-line reference does
+    assert trees._CHUNK < len(_PAIRS) // 2
+    expected = _reference_outcome(text)
+    assert _parse_outcome(text) == expected
+    for size in (1, 7, 64):
+        monkeypatch.setattr(trees, "_CHUNK", size)
+        assert _parse_outcome(text) == expected
+    monkeypatch.setattr(trees, "_pairs", lambda chunk: None)
+    assert _parse_outcome(text) == expected
+
+
+def test_tokenizer_reports_the_true_line_past_chunks():
+    with pytest.raises(TreeSyntaxError,
+                       match="^line 6001: expected two whitespace-separated labels, got 3$"):
+        parse_tree(_PAIRS + "p q r\n")
+
+
+def test_parse_memory_per_vertex():
+    # the tokenizer holds one chunk of tokens, not every line and token of
+    # the text; a parser holding them all took about 209 B per vertex here
+    text = to_edge_list(random_tree(20_000, seed="mem"))
+    tracemalloc.start()
+    try:
+        t = parse_tree(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / t.n <= 150
 
 
 @pytest.mark.parametrize("labels,edges,message", [
