@@ -17,13 +17,11 @@ from pathlib import Path
 from .construction import (
     STAR_COLOR,
     Coloring,
-    _shared_table,
+    _construct,
+    _parameters,
+    _table,
+    _witness,
     chi_certificate,
-    construct_distinguishing_coloring,
-    construct_proper_distinguishing_coloring,
-    distinguishing_chromatic_number,
-    distinguishing_number,
-    parameters,
 )
 from .counting import CountTable
 from .errors import (
@@ -93,12 +91,9 @@ def _coloring_lines(t, coloring: Coloring) -> list:
     return [f"{labels[v]} {names[colors[v]]}" for v in sorted(colors, key=labels.__getitem__)]
 
 
-def _coloring_json(t, coloring: Coloring) -> dict:
+def _coloring_json(t, colors: dict) -> dict:
     labels = t.labels
-    return {
-        labels[v]: ("*" if c == STAR_COLOR else c)
-        for v, c in coloring.colors.items()
-    }
+    return {labels[v]: ("*" if c == STAR_COLOR else c) for v, c in colors.items()}
 
 
 def _certificate_json(rt: RootedTree, cert) -> dict | None:
@@ -118,48 +113,34 @@ def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
     start = time.perf_counter()
     rt = to_rooted(t)
     rooted_input = rt is t
-    with _shared_table(rt):
-        d, chi, cert = parameters(rt)
-        if witness:
-            # each coloring is dropped once its labelled map is made
-            witnesses = {
-                "distinguishing":
-                    _coloring_json(t, construct_distinguishing_coloring(rt, d)),
-                "proper_distinguishing":
-                    _coloring_json(t, construct_proper_distinguishing_coloring(rt, chi)),
-            }
+    # the one saturating table of the analysis: the searches, the
+    # certificate and both witnesses read it, and it dies with this call
+    table = _table(rt)
+    d, chi, cert = _parameters(table)
     if chi not in (d, d + 1) or (cert is not None) != (chi == d + 1):
         raise AssertionError("internal inconsistency between parameters and certificate")
-    base = t.base if rooted_input else t
-    if rooted_input:
-        summary = {
-            "n": base.n,
-            "kind": "rooted",
-            "center": None,
-            "center_type": None,
-            "subdivided": False,
-            "rooted_n": rt.n,
-        }
-    else:
-        ctr = sorted(base.labels[v] for v in
-                     (rt.halves or (rt.root,)))
-        summary = {
-            "n": base.n,
-            "kind": "tree",
-            "center": ctr,
-            "center_type": "edge" if len(ctr) == 2 else "vertex",
-            "subdivided": rt.subdivided,
-            "rooted_n": rt.n,
-        }
+    ctr = None if rooted_input else sorted(t.labels[v] for v in (rt.halves or (rt.root,)))
     report = {
-        "input": summary,
+        "input": {
+            "n": t.n,
+            "kind": "rooted" if rooted_input else "tree",
+            "center": ctr,
+            "center_type": ctr and ("edge" if len(ctr) == 2 else "vertex"),
+            "subdivided": not rooted_input and rt.subdivided,
+            "rooted_n": rt.n,
+        },
         "distinguishing_number": d,
         "distinguishing_chromatic_number": chi,
         "certificate": _certificate_json(rt, cert),
     }
     if witness:
-        report["witness"] = witnesses
+        # each witness is dropped once its labelled map is made
+        report["witness"] = {
+            "distinguishing": _coloring_json(t, _witness(table, d, False, 0)),
+            "proper_distinguishing": _coloring_json(t, _witness(table, chi, True, 0)),
+        }
     if counts_k is not None:
+        # an exact table, which frees the saturating one when bound
         table = CountTable(rt)
         report["counts"] = {
             "k": counts_k,
@@ -293,9 +274,7 @@ def cmd_color(args) -> int:
         if coloring is None:
             raise NoColoringError("no distinguishing coloring from the given lists")
     else:
-        build = (construct_proper_distinguishing_coloring if args.proper
-                 else construct_distinguishing_coloring)
-        coloring = build(rt, args.k, args.index or 0)
+        coloring = _construct(rt, args.k, args.index or 0, args.proper)
     _emit(_coloring_lines(t, coloring))
     return EXIT_OK
 

@@ -13,14 +13,14 @@ the strictly decreasing tuple of slot ranks in subset-rank order, where
 slot (c, i) has rank (position of c among the open colors) * f_a + i.
 It exists purely to make counts, ranks, and constructed witnesses
 deterministic and bijective.  Searches, certificate and witnesses read one
-saturating table (``_table``), which an analysis shares (``_shared_table``);
-only :func:`rank_distinguishing` is exact.
+saturating table (``_table``); an analysis builds one and passes it to
+:func:`_parameters` and to :func:`_witness` for each witness, and nothing
+keeps it afterwards.  Only :func:`rank_distinguishing` is exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from math import comb
 
 from .counting import BigCount, CountTable, _Frozen
@@ -105,25 +105,8 @@ def _table(t, idx: int = 0) -> CountTable:
     # searches and the certificate stay exact, and above idx: the walker
     # splits idx as from exact counts, as an entry below the cap is exact
     # and a clamped one exceeds every digit split off idx (quotient 0).
-    # Every idx <= n clamps at n + 1, as the shared table does
-    rt = to_rooted(t)
-    if rt._table is not None and idx <= rt.n:
-        return rt._table
-    return CountTable(rt, cap=idx + 1)
-
-
-@contextmanager
-def _shared_table(rt: RootedTree):
-    """Within the block, the searches, the certificate and every witness
-    at an index up to n on ``rt`` read one saturating table, with its rows
-    and walk plans.  It is dropped afterwards: kept on the view, it would
-    join the view's reference cycle with its tree, and every request
-    would leave it to the cyclic garbage collector."""
-    rt._table = CountTable(rt, cap=rt.n + 1)
-    try:
-        yield
-    finally:
-        rt._table = None
+    # Every idx <= n clamps at n + 1, as the table of an analysis does
+    return CountTable(to_rooted(t), cap=idx + 1)
 
 
 def _search_d(table: CountTable) -> int:
@@ -163,6 +146,16 @@ def _certificate(table: CountTable, k: int) -> Certificate | None:
     return None
 
 
+def _least_k(table: CountTable, proper: bool) -> int:
+    d = _search_d(table)
+    return _search_chi(table, d) if proper else d
+
+
+def _parameters(table: CountTable) -> tuple:
+    d = _search_d(table)
+    return d, _search_chi(table, d), _certificate(table, d)
+
+
 def distinguishing_number(t) -> int:
     """Least k admitting a distinguishing k-coloring.
 
@@ -179,17 +172,14 @@ def distinguishing_chromatic_number(t) -> int:
     Searched upward from the distinguishing number on the same saturating
     table, as the least k with :meth:`CountTable.tree_proper` positive.
     """
-    table = _table(t)
-    return _search_chi(table, _search_d(table))
+    return _least_k(_table(t), True)
 
 
 def parameters(t) -> tuple:
     """``(D, chi_D, certificate)``, as :func:`distinguishing_number`,
     :func:`distinguishing_chromatic_number` and :func:`chi_certificate`
     return them, from one saturating count table and one search for D."""
-    table = _table(t)
-    d = _search_d(table)
-    return d, _search_chi(table, d), _certificate(table, d)
+    return _parameters(_table(t))
 
 
 # -- subset rank/unrank ----------------------------------------------------
@@ -369,29 +359,6 @@ def chi_certificate(t) -> Certificate | None:
 # -- whole-tree witnesses ----------------------------------------------------
 
 
-def construct_distinguishing_coloring(t, k: int | None = None,
-                                      index=0) -> Coloring:
-    """A distinguishing k-coloring of the input tree: the representative of
-    its index-th class, 0 <= index < :meth:`CountTable.tree_distinguishing`.
-    The root color leads the index; an edge-centered tree's synthetic root
-    is pinned to color 1 and dropped from the result."""
-    rt = to_rooted(t)
-    idx = _exact_index(index)
-    table = _table(rt, idx)
-    if k is None:
-        k = _search_d(table)
-    if not table.tree_distinguishing(k):
-        raise NoColoringError(
-            f"no distinguishing {k}-coloring exists;"
-            f" need at least {_search_d(table)} colors"
-        )
-    if not rt.subdivided:
-        return Coloring(_unrank_led(table, k, False, idx))
-    out = [0] * rt.n
-    _unrank(table, k, False, rt.root, 1, idx, out)
-    return Coloring(dict(zip(range(rt.origin_count), out)))
-
-
 def _central_colors(k: int, twins: bool, pair: int) -> tuple:
     # the pair-th (color at u, color at v) with u != v in lexicographic
     # order; isomorphic halves take u < v only, as swapping them maps
@@ -406,6 +373,51 @@ def _central_colors(k: int, twins: bool, pair: int) -> tuple:
     return cu, cu + 1 + pair
 
 
+def _witness(table: CountTable, k: int | None, proper: bool, idx: int) -> dict:
+    """Colors per input vertex of the idx-th class of (proper)
+    distinguishing k-colorings, k defaulting to the least that has one,
+    in the index layouts that the public builders below describe."""
+    rt = table.rt
+    if k is None:
+        k = _least_k(table, proper)
+    total = table.tree_proper(k) if proper else table.tree_distinguishing(k)
+    if not total:
+        raise NoColoringError(
+            f"no {'proper ' if proper else ''}distinguishing {k}-coloring exists;"
+            f" need at least {_least_k(table, proper)} colors"
+        )
+    if not 0 <= idx < total:
+        raise CountIndexError(f"index {idx} outside [0, {total})")
+    if not rt.subdivided:
+        return _unrank_led(table, k, proper, idx)
+    out = [0] * rt.n
+    if not proper:
+        _unrank(table, k, False, rt.root, 1, idx, out)
+    else:
+        # the subdivided root must not take part: u and v are adjacent
+        u, v = rt.halves
+        fv = table.proper_raw(v, k)
+        pair, rem = divmod(idx, table.proper_raw(u, k) * fv)
+        cu, cv = _central_colors(k, rt.code_id(u) == rt.code_id(v), pair)
+        _unrank(table, k, True, u, cu, rem // fv, out)
+        _unrank(table, k, True, v, cv, rem % fv, out)
+    return dict(zip(range(rt.origin_count), out))
+
+
+def _construct(t, k: int | None, index, proper: bool) -> Coloring:
+    idx = _exact_index(index)
+    return Coloring(_witness(_table(t, idx), k, proper, idx))
+
+
+def construct_distinguishing_coloring(t, k: int | None = None,
+                                      index=0) -> Coloring:
+    """A distinguishing k-coloring of the input tree: the representative of
+    its index-th class, 0 <= index < :meth:`CountTable.tree_distinguishing`.
+    The root color leads the index; an edge-centered tree's synthetic root
+    is pinned to color 1 and dropped from the result."""
+    return _construct(t, k, index, False)
+
+
 def construct_proper_distinguishing_coloring(t, k: int | None = None,
                                              index=0) -> Coloring:
     """A proper distinguishing k-coloring of the input tree: the
@@ -418,27 +430,4 @@ def construct_proper_distinguishing_coloring(t, k: int | None = None,
     pairs, or pairs with u's color the smaller when the halves are
     isomorphic; pair 0 is (1, 2)), then the class of u's half, then v's.
     """
-    rt = to_rooted(t)
-    idx = _exact_index(index)
-    table = _table(rt, idx)
-    if k is None:
-        k = _search_chi(table, _search_d(table))
-    total = table.tree_proper(k)
-    if not total:
-        raise NoColoringError(
-            f"no proper distinguishing {k}-coloring exists;"
-            f" need at least {_search_chi(table, _search_d(table))} colors"
-        )
-    if not rt.subdivided:
-        return Coloring(_unrank_led(table, k, True, idx))
-    if not 0 <= idx < total:
-        raise CountIndexError(f"index {idx} outside [0, {total})")
-    # the subdivided root must not take part: u and v are adjacent
-    u, v = rt.halves
-    fv = table.proper_raw(v, k)
-    pair, rem = divmod(idx, table.proper_raw(u, k) * fv)
-    cu, cv = _central_colors(k, rt.code_id(u) == rt.code_id(v), pair)
-    out = [0] * rt.n
-    _unrank(table, k, True, u, cu, rem // fv, out)
-    _unrank(table, k, True, v, cv, rem % fv, out)
-    return Coloring(dict(zip(range(rt.origin_count), out)))
+    return _construct(t, k, index, True)

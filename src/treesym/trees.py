@@ -263,8 +263,6 @@ class RootedTree:
         self._groups: array | None = None
         self._sizes: tuple | None = None
         self._class_structure: tuple | None = None
-        # the saturating count table of a running analysis (construction)
-        self._table = None
 
     @property
     def children(self) -> tuple:

@@ -1,5 +1,7 @@
+import gc
 import time
 import tracemalloc
+import weakref
 from math import comb
 
 import pytest
@@ -123,7 +125,15 @@ def test_witnesses_reuse_the_parameter_passes(monkeypatch):
         passes.append((a, icap))
         return real(rt, a, icap)
 
+    tables = []
+    real_init = CountTable.__init__
+
+    def tracked(self, *args, **kwargs):
+        tables.append(weakref.ref(self))
+        real_init(self, *args, **kwargs)
+
     monkeypatch.setattr(counting, "_pinned_pass", counted)
+    monkeypatch.setattr(CountTable, "__init__", tracked)
     # a witness at the parameter reads the rows its own search built, on
     # one saturating table, and never an exact row; an analysis builds
     # each row once, for the searches and both witnesses
@@ -138,11 +148,20 @@ def test_witnesses_reuse_the_parameter_passes(monkeypatch):
             passes.clear()
             witness(t)
             assert passes == searched
-        passes.clear()
-        _analyze_one(t, witness=True, counts_k=None)
-        assert passes and all(icap is not None for _, icap in passes)
-        assert len({a for a, _ in passes}) == len(passes)
-        assert to_rooted(t)._table is None
+        for counts_k in (None, 2):
+            passes.clear()
+            tables.clear()
+            gc.disable()
+            try:
+                _analyze_one(t, witness=True, counts_k=counts_k)
+                # with the cyclic collector off, reference counting alone
+                # frees every table the analysis built once it returns
+                assert tables and all(ref() is None for ref in tables)
+            finally:
+                gc.enable()
+            if counts_k is None:
+                assert passes and all(icap is not None for _, icap in passes)
+                assert len({a for a, _ in passes}) == len(passes)
 
 
 def test_witness_memory_linear_on_paths():
@@ -186,6 +205,27 @@ def test_unrank_bad_index():
                   construct_proper_distinguishing_coloring):
         with pytest.raises(CountIndexError, match="index -1 is negative"):
             build(path(9), 3, -1)
+
+
+@pytest.mark.parametrize("proper, t, k, index, error, message", [
+    (False, star(3), 2, 0, NoColoringError,
+     "no distinguishing 2-coloring exists; need at least 3 colors"),
+    (True, star(3), 3, 0, NoColoringError,
+     "no proper distinguishing 3-coloring exists; need at least 4 colors"),
+    (True, path(4), 1, 0, NoColoringError,
+     "no proper distinguishing 1-coloring exists; need at least 2 colors"),
+    (True, path(4), 2, 1, CountIndexError, "index 1 outside [0, 1)"),
+    # past every count: vertex- and edge-centered, plain and proper
+    (False, path(4), 2, 10**6, CountIndexError, "index 1000000 outside [0, 6)"),
+    (False, path(5), 2, 10**6, CountIndexError, "index 1000000 outside [0, 12)"),
+    (True, path(5), 3, 10**6, CountIndexError, "index 1000000 outside [0, 18)"),
+])
+def test_witness_error_messages(proper, t, k, index, error, message):
+    build = (construct_proper_distinguishing_coloring if proper
+             else construct_distinguishing_coloring)
+    with pytest.raises(error) as exc:
+        build(t, k, index)
+    assert str(exc.value) == message
 
 
 def test_unrank_rejects_saturated_index():

@@ -341,6 +341,17 @@ def test_construct_always_succeeds_at_parameter():
             assert all(colp.colors[v] in lap.get(v) for v in range(t.n))
 
 
+@pytest.mark.parametrize("t", [path(6), spider(2, 2), random_tree(40, seed=3)],
+                         ids=["path6", "spider22", "random40"])
+@pytest.mark.parametrize("proper", [False, True])
+def test_construct_on_rooted_view_matches_tree(t, proper):
+    # a subdivided view is checked against the tree it was built from,
+    # as the view's synthetic vertex has no color in the result
+    la = ListAssignment.uniform(t.n, {1, 2, 3})
+    assert (construct_list_distinguishing_coloring(to_rooted(t), la, proper)
+            == construct_list_distinguishing_coloring(t, la, proper))
+
+
 def test_selections_match_brute_force():
     # up to `limit` distinct valid selections, and all of them below the limit
     rng = random.Random(99)
