@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", nargs="?", type=_positive_int, default=None)
     p.add_argument("--proper", action="store_true")
     p.add_argument("--list", metavar="FILE", help="list-assignment file")
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func=cmd_count, parser=p)
 
     p = sub.add_parser("color", help="emit a witness coloring")
     add_input(p)
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", metavar="FILE")
     p.add_argument("--index", type=int,
                    help="class index of the emitted representative (default 0)")
-    p.set_defaults(func=cmd_color)
+    p.set_defaults(func=cmd_color, parser=p)
 
     p = sub.add_parser("certify", help="extra-color certificate or 'none'")
     add_input(p)
@@ -407,7 +407,16 @@ def main(argv=None) -> int:
     # exact counts are printed in full, however many digits they have
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra and hasattr(args, "parser"):
+        # argparse gives input and K only the words before the first flag,
+        # so K in ``color FILE --proper 2`` is left over: count and color
+        # parse their words again, flags and positionals intermixed
+        words = sys.argv[2:] if argv is None else list(argv)[1:]
+        args, extra = args.parser.parse_known_intermixed_args(words, args)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

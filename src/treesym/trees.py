@@ -333,45 +333,27 @@ class RootedTree:
     def code_ids(self) -> tuple:
         """Dense class id per vertex; equal ids iff isomorphic rooted subtrees.
 
-        Computed bottom-up by interning each vertex's sorted child class
-        ids, read straight from its child span (a lone child is interned
-        by its id alone), so the total work is O(n log n) and no code
-        strings are built.  Class ids come out in children-before-parents
-        order, and each new class appends its pairs to the flat class
-        structure.
+        Interned by :func:`_intern` in O(n log n), children before parents,
+        with no code strings.  The flat class structure and the leaf bound
+        are read off its keys, which come in class-id order.
         """
         if self._code_ids is None:
-            order, span = self.bfs_order, self._child_span
+            at, table = _intern(self)
+            # scatter the ids from BFS positions to vertices at C speed
             ids = [0] * self.n
-            table: dict = {}
-            owner: list = []
-            kids: list = []
-            mults: list = []
+            any(map(ids.__setitem__, self.bfs_order, at))
+            del at
+            owner, kids, mults = [], [], []
             leaves = 1
-            for v in reversed(order):
-                s, e = span[2 * v], span[2 * v + 1]
-                if s == e:
-                    continue
-                if e - s == 1:
-                    key = ids[order[s]]
-                else:
-                    key = tuple(sorted(map(ids.__getitem__, order[s:e])))
-                cid = table.get(key)
-                if cid is None:
-                    # the leaf class 0 has no key
-                    cid = table[key] = len(table) + 1
-                    if e - s == 1:
-                        owner.append(cid)
-                        kids.append(key)
-                        mults.append(1)
-                    else:
-                        for c, run in itertools.groupby(key):
-                            owner.append(cid)
-                            kids.append(c)
-                            mults.append(len(list(run)))
-                        if key[0] == 0:
-                            leaves = max(leaves, key.count(0))
-                ids[v] = cid
+            for key, cid in table.items():
+                if type(key) is int:
+                    key = (key,)
+                for c, run in itertools.groupby(key):
+                    owner.append(cid)
+                    kids.append(c)
+                    mults.append(len(list(run)))
+                if key[0] == 0:
+                    leaves = max(leaves, key.count(0))
             self._class_count = len(table) + 1
             self._leaf_bound = leaves
             # the keys go before the tuple copies, and each list as soon as
@@ -459,6 +441,35 @@ class RootedTree:
     def __repr__(self):
         tag = ", subdivided" if self.subdivided else ""
         return f"RootedTree(n={self.n}, root={self.root}{tag})"
+
+
+def _intern(rt: RootedTree, colors=None) -> tuple | None:
+    """``(ids, table)``: the class id at each position of ``rt.bfs_order``,
+    so that a vertex's children are one slice, interned from the leaves up
+    (Aho, Hopcroft and Ullman), and the key -> id dict in id order.  A lone
+    child is keyed by its id, several by their sorted tuple, and an
+    uncolored leaf is class 0.  Under ``colors`` each key leads with the
+    vertex's color, and the result is None at the first vertex with two
+    children of one colored class.  No key is compared with the root's, so
+    the root's key carries no color.
+    """
+    order, span = rt.bfs_order, rt._child_span
+    ids, table = [0] * rt.n, {}
+    for i in range(rt.n - 1, -1, -1):
+        v = order[i]
+        s, e = span[2 * v], span[2 * v + 1]
+        if e - s > 1:
+            key = tuple(sorted(ids[s:e]))
+            if colors is not None and not all(map(int.__lt__, key, key[1:])):
+                return None
+        elif s == e and colors is None:
+            continue  # an uncolored leaf is class 0
+        else:
+            key = ids[s] if s < e else ()
+        if colors is not None:
+            key = (colors[v] if i else None, key)
+        ids[i] = table.setdefault(key, len(table) + 1)
+    return ids, table
 
 
 def _code_order(n_cls: int, owner, kids, mults, big: int) -> list:
@@ -596,9 +607,6 @@ def is_proper(t, coloring) -> bool:
     return all(colors[u] != colors[v] for u, v in _edge_pairs(t))
 
 
-_SYNTHETIC_COLOR = object()
-
-
 def distinguishes(t, coloring) -> bool:
     """Whether no nontrivial automorphism preserves every color.
 
@@ -606,25 +614,13 @@ def distinguishes(t, coloring) -> bool:
     :class:`RootedTree` under its root-preserving group.  Every automorphism
     of a tree fixes its center, so the coloring distinguishes exactly when
     no vertex of the center-rooted reduction has two children whose colored
-    subtrees are isomorphic.  One bottom-up pass interns each vertex as its
-    color with the sorted colored ids of its children: O(n log n), with no
-    group enumeration.  A vertex missing from the coloring is a ValueError.
+    subtrees are isomorphic.  The class-id kernel :func:`_intern` decides
+    this in one bottom-up pass with colored keys: O(n log n), with no group
+    enumeration.  The root is no vertex's child, so its color is never
+    compared and the synthetic root of an edge-centered tree needs none.
+    A vertex missing from the coloring is a ValueError.
     """
-    rt = to_rooted(t)
-    colors = _color_map(coloring, t.n)
-    # the synthetic root of an unrooted tree's reduction carries no color,
-    # and its key can equal no real vertex's key
-    synthetic = rt.subdivision_vertex if rt is not t else None
-    order, span = rt.bfs_order, rt._child_span
-    ids = [0] * rt.n
-    table: dict = {}
-    for v in reversed(order):
-        kids = tuple(sorted([ids[c] for c in order[span[2 * v]:span[2 * v + 1]]]))
-        if len(set(kids)) < len(kids):
-            return False
-        key = (_SYNTHETIC_COLOR if v == synthetic else colors[v], kids)
-        ids[v] = table.setdefault(key, len(table))
-    return True
+    return _intern(to_rooted(t), _color_map(coloring, t.n)) is not None
 
 
 # -- parsing and serialisation ------------------------------------------
@@ -674,22 +670,14 @@ _CHUNK = 1 << 14  # characters per tokenizer chunk, before its newline
 
 def _pairs(chunk: str) -> list | None:
     """The tokens of ``chunk`` when each of its lines holds exactly two,
-    found by C-level splits alone, or None when the chunk needs the
-    line-by-line reader: for a blank, comment, lone-label or bad line, or
-    a line break other than ``\\n`` and ``\\r\\n``.  A ``\\0`` token
-    marks each line end, so the lines are all pairs exactly when every
-    third token is a marker."""
-    if ("#" in chunk or "\0" in chunk or "\x0b" in chunk or "\x0c" in chunk
-            or "\x1c" in chunk or "\x1d" in chunk or "\x1e" in chunk
-            or chunk.count("\r") != chunk.count("\r\n")
-            or not chunk.isascii() and ("\x85" in chunk or "\u2028" in chunk
-                                        or "\u2029" in chunk)):
+    found by C-level splits alone, or None for a blank, comment, lone-label
+    or bad line, which the line-by-line reader handles.  Lines are cut by
+    ``str.splitlines``, as in that reader, and a ``\\0`` token ends each
+    one, so the lines are all pairs exactly when every third token is one."""
+    if "#" in chunk or "\0" in chunk:
         return None
-    toks = chunk.replace("\n", " \0 ").split()
-    lines = chunk.count("\n")
-    if chunk[-1] != "\n":
-        toks.append("\0")
-        lines += 1
+    toks = (" \0 ".join(chunk.splitlines()) + " \0").split()
+    lines = toks.count("\0")
     if len(toks) != 3 * lines or toks[2::3].count("\0") != lines:
         return None
     del toks[2::3]

@@ -1,5 +1,5 @@
 """Naive references for canonical codes, sibling-class order, rooted
-isomorphism, the tree front end and the witness walkers.
+isomorphism, the tree front end, the witness walkers and the verifier.
 
 Builds the Aho–Hopcroft–Ullman parenthesis string of every vertex's
 subtree directly, children sorted by their own strings, and orders sibling
@@ -9,7 +9,7 @@ isomorphism test backtracks over child matchings and never looks at codes.
 
 from math import comb
 
-from treesym import CountTable, RootedTree, Tree
+from treesym import CountTable, RootedTree, Tree, to_rooted
 from treesym.construction import _subset_unrank_desc
 from treesym.errors import (
     CountIndexError,
@@ -187,7 +187,9 @@ def rooted(adj, root: int, halves=()) -> dict:
     """BFS from ``root`` over ``adj`` (a synthetic root, id len(adj), takes
     ``halves`` as its children), then bottom-up interning of sorted child
     class tuples.  Returns parent, depth, bfs_order, children, the class
-    id per vertex and the (child class, multiplicity) pairs per class."""
+    id per vertex, the (child class, multiplicity) pairs per class, the
+    number of classes, and the leaf bound: the most leaf children of one
+    vertex, and at least 1."""
     n = len(adj) + (1 if halves else 0)
     parent = [-1] * n
     depth = [0] * n
@@ -227,7 +229,8 @@ def rooted(adj, root: int, halves=()) -> dict:
         if parent[v] >= 0:
             pending[parent[v]].append(ids[v])
     return {"parent": parent, "depth": depth, "bfs_order": order,
-            "children": [tuple(c) for c in children], "ids": ids, "pairs": pairs}
+            "children": [tuple(c) for c in children], "ids": ids, "pairs": pairs,
+            "classes": len(table), "leaf_bound": max([1] + [k.count(0) for k in table])}
 
 
 # -- the per-vertex walkers -----------------------------------------------------
@@ -286,3 +289,32 @@ def rank(rt, k: int, colors) -> int:
                 comb(c, i + 1) for i, c in enumerate(rs))
         ranks[v] = idx
     return ranks[rt.root]
+
+
+# -- the per-vertex verifier ----------------------------------------------------
+# The distinguishing test as it was before it shared the class-id kernel:
+# a tuple and a set for every vertex, leaves included, and a sentinel color
+# for the synthetic root.  Only for differential tests.
+
+_UNCOLORED = object()
+
+
+def distinguishes(t, coloring) -> bool:
+    """Whether no vertex of the center-rooted reduction of ``t`` (or of
+    the rooted view ``t`` itself) has two children whose colored subtrees
+    are isomorphic."""
+    rt = to_rooted(t)
+    colors = getattr(coloring, "colors", coloring)
+    # the synthetic root of an unrooted tree's reduction carries no color,
+    # and its key can equal no real vertex's key
+    synthetic = rt.subdivision_vertex if rt is not t else None
+    order, span = rt.bfs_order, rt._child_span
+    ids = [0] * rt.n
+    table: dict = {}
+    for v in reversed(order):
+        kids = tuple(sorted([ids[c] for c in order[span[2 * v]:span[2 * v + 1]]]))
+        if len(set(kids)) < len(kids):
+            return False
+        key = (_UNCOLORED if v == synthetic else colors[v], kids)
+        ids[v] = table.setdefault(key, len(table))
+    return True

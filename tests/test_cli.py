@@ -148,6 +148,25 @@ def test_edge_centered_counts_match_brute_force(tmp_path, capsys):
                     int(counts["proper_distinguishing_classes"])] == want
 
 
+def test_k_after_a_flag(p4_file, tmp_path, monkeypatch):
+    # K may follow a flag, with the output of K before it
+    for cmd, k, want in (("color", "2", "a 2\nb 1\nc 2\nd 1\n"), ("count", "3", "12\n")):
+        for argv in ((cmd, p4_file, k, "--proper"), (cmd, p4_file, "--proper", k)):
+            out = run_cli(*argv)
+            assert (out.returncode, out.stdout, out.stderr) == (0, want, "")
+    # a lone word after the flag is still the input file
+    (tmp_path / "2").write_text(P4)
+    monkeypatch.chdir(tmp_path)
+    out = run_cli("color", "--proper", "2")
+    assert (out.returncode, out.stdout) == (0, "a 2\nb 1\nc 2\nd 1\n")
+    # any other stray word is refused as before
+    for argv in (("color", p4_file, "2", "--proper", "3"), ("analyze", p4_file, "x")):
+        out = run_cli(*argv)
+        word = argv[-1]
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.endswith(f"treesym: error: unrecognized arguments: {word}\n")
+
+
 def test_count_requires_k(p4_file):
     out = run_cli("count", p4_file)
     assert out.returncode == 2

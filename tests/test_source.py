@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-PKG = os.path.join(os.path.dirname(__file__), os.pardir, "src", "treesym")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PKG = os.path.join(ROOT, "src", "treesym")
 MODULES = sorted(f for f in os.listdir(PKG) if f.endswith(".py") and f != "__init__.py")
 
 # names a module imports only to re-export them (the comment beside
@@ -37,3 +38,72 @@ def test_no_unused_imports(module):
     with open(os.path.join(PKG, module), encoding="utf-8") as f:
         unused = unused_imports(f.read()) - RE_EXPORTS.get(module, set())
     assert not unused, f"{module} imports but never uses: {', '.join(sorted(unused))}"
+
+
+def defined_names(source: str) -> set:
+    """Module-level functions, classes and constants, and methods, that a
+    module defines, dunders left out."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(m.name for m in node.body
+                             if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def referenced_names(source: str) -> set:
+    """Names that a module reads, as a name, an attribute, an imported name
+    or a string equal to one (``__all__``, ``getattr``, ``monkeypatch``)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _sources(*dirs) -> dict:
+    out = {}
+    for d in dirs:
+        for dirpath, _, files in os.walk(os.path.join(ROOT, d)):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    with open(os.path.join(dirpath, f), encoding="utf-8") as fh:
+                        out[os.path.join(dirpath, f)] = fh.read()
+    return out
+
+
+def dead_names(defined: dict, sources) -> dict:
+    """Per module of ``defined`` (name -> source), the names it defines
+    that no source in ``sources`` references."""
+    used = set().union(*map(referenced_names, sources))
+    return {m: sorted(dead) for m, src in defined.items()
+            if (dead := defined_names(src) - used)}
+
+
+def test_dead_names_are_found():
+    mod = "X = 1\n_Y = 2\ndef f(): return X\nclass C:\n    def m(self): pass\n" \
+          "    def __repr__(self): return ''\n"
+    assert dead_names({"m": mod}, [mod]) == {"m": ["C", "_Y", "f", "m"]}
+    assert dead_names({"m": mod}, [mod, "from m import f\nC().m()\ngetattr(x, '_Y')"]) == {}
+
+
+def test_no_dead_names():
+    # every name src/treesym defines is read somewhere in src/, tests/ or
+    # bench/, which this check only reads
+    sources = _sources("src", "tests", "bench")
+    defined = {os.path.relpath(p, PKG): src for p, src in sources.items()
+               if os.path.dirname(os.path.abspath(p)) == os.path.abspath(PKG)}
+    dead = dead_names(defined, sources.values())
+    assert not dead, "defined but never referenced: " + "; ".join(
+        f"{m}: {', '.join(names)}" for m, names in sorted(dead.items()))

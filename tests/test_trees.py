@@ -22,7 +22,7 @@ from treesym import (
     to_rooted,
     vertex_orbits,
 )
-from treesym.construction import parameters
+from treesym.construction import construct_distinguishing_coloring, parameters
 from treesym.errors import InvalidTreeError, TreeSyntaxError
 from treesym.families import (
     all_trees_up_to,
@@ -406,6 +406,88 @@ def test_distinguishes_missing_vertex():
         is_distinguishing(rt, phi)
 
 
+
+# the shapes of the bench's witness-deep workload (its random tree drawn
+# here), and two smaller random trees
+_WITNESS_DEEP = {
+    "vpath-10001": lambda: path(10_001),
+    "epath-10000": lambda: path(10_000),
+    "caterpillar-2501x3": lambda: _caterpillar(2501, 3),
+    "spider-4x2500": lambda: spider(*[2500] * 4),
+    "binary-h13": lambda: _complete_binary(13),
+    "vpath-501": lambda: path(501),
+    "epath-500": lambda: path(500),
+    "caterpillar-301x3": lambda: _caterpillar(301, 3),
+    "spider-10x100": lambda: spider(*[100] * 10),
+    "binary-h9": lambda: _complete_binary(9),
+    "prufer-100000": lambda: random_tree(100_000, seed="verify-prufer"),
+    "prufer-1000": lambda: random_tree(1000, seed="verify-1000"),
+    "prufer-10000": lambda: random_tree(10_000, seed="verify-10000"),
+}
+
+
+def _equal_pair(rt, phi, where):
+    """``phi`` with one child's subtree colored as a sibling of its class
+    is, below the first vertex of ``rt`` that has such a pair of leaves
+    (``where="leaves"``), such a pair at half the height (``"mid"``) or at
+    the root (``"root"``); None when no vertex has one.  On a
+    distinguishing ``phi`` that vertex then holds the first equal pair."""
+    ids, grouped, span, depth = rt.code_ids(), rt._grouped(), rt._child_span, rt.depth
+    mid = max(depth) // 2
+    at = {"leaves": lambda p, c: c == 0, "mid": lambda p, c: depth[p] == mid,
+          "root": lambda p, c: p == rt.root}[where]
+    for p in rt.bfs_order:
+        kids = grouped[span[2 * p]:span[2 * p + 1]]
+        pair = next(((a, b) for a, b in zip(kids, kids[1:])
+                     if ids[a] == ids[b] and at(p, ids[a])), None)
+        if pair is None:
+            continue
+        out = dict(phi)
+        # members of one class pair off in sibling order, level by level
+        stack = [pair]
+        while stack:
+            a, b = stack.pop()
+            out[b] = out[a]
+            stack.extend(zip(grouped[span[2 * a]:span[2 * a + 1]],
+                             grouped[span[2 * b]:span[2 * b + 1]]))
+        return out
+    return None
+
+
+@pytest.mark.parametrize("shape", list(_WITNESS_DEEP))
+def test_distinguishes_matches_reference(shape):
+    # the shared kernel against the per-vertex loop it replaced, on
+    # distinguishing and non-distinguishing colorings, on the input tree,
+    # its center-rooted view with the synthetic root colored, and the view
+    # rooted at vertex 0; recoloring only the root never flips a verdict
+    t = _WITNESS_DEEP[shape]()
+    rt = to_rooted(t)
+    rng = random.Random(f"verify-{shape}")
+    witness = construct_distinguishing_coloring(t).colors
+    colorings = [witness]
+    colorings += [{v: rng.randint(1, k) for v in range(t.n)} for k in (2, 3, 4)]
+    if rt.subdivided:
+        witness = {**witness, rt.root: 1}
+    pairs = [_equal_pair(rt, witness, where) for where in ("leaves", "mid", "root")]
+    assert any(pairs) and (all(pairs) or not shape.startswith("binary"))
+    for phi in filter(None, pairs):
+        assert not reference.distinguishes(rt, phi)
+        colorings.append({v: c for v, c in phi.items() if v < t.n})
+    verdicts = set()
+    for phi in colorings:
+        for view in (t, rt, RootedTree(t, 0)):
+            col = _with_synthetic(view, phi) if view is rt else phi
+            want = reference.distinguishes(view, col)
+            assert distinguishes(view, col) == want
+            verdicts.add(want)
+            root = view.root if isinstance(view, RootedTree) else rt.root
+            if root < t.n or view is rt:
+                flipped = {**col, root: col[root] % 4 + 1}
+                assert distinguishes(view, flipped) == want
+                assert reference.distinguishes(view, flipped) == want
+    assert verdicts == {True, False}
+
+
 # -- serialisation ----------------------------------------------------------------
 
 def test_edge_list_roundtrip():
@@ -457,6 +539,8 @@ def _assert_rooted_matches(rt, ref):
         pairs[cid] = tuple((c, m) for _, c, m in run)
     assert pairs == ref["pairs"]
     assert list(owner) == sorted(owner)
+    assert rt.class_count() == ref["classes"]
+    assert rt.leaf_bound() == ref["leaf_bound"]
 
 
 def _assert_front_matches(text: str, all_roots: bool):
@@ -547,6 +631,8 @@ _TOKENIZER_CASES = [
     ("labels-with-hash", "a#1 b#\nb# #c\n"),
     ("comment-between-pairs", "a b\n#c d\nb c\n"),
     ("lone-labels", "a\na b\nc\nb c\n"),
+    # two line ends in a row after a lone label fill three token slots
+    ("lone-label-then-blank-line", "a b\nb\n\n"),
     ("lone-label-after-pairs", _PAIRS + "z\n"),
     ("one-vertex", "solo\n"),
     ("one-vertex-no-newline", "solo"),
