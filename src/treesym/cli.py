@@ -7,23 +7,13 @@ or parse error, 3 cap or work bound exceeded, 4 no such coloring / index
 out of range.
 """
 
-from __future__ import annotations
-
 import argparse
+import errno
+import os
+import stat
 import sys
 import time
-from pathlib import Path
 
-from .construction import (
-    STAR_COLOR,
-    Coloring,
-    _construct,
-    _parameters,
-    _table,
-    _witness,
-    chi_certificate,
-)
-from .counting import CountTable
 from .errors import (
     ClassCapError,
     CountIndexError,
@@ -34,11 +24,11 @@ from .errors import (
     SaturatedCountError,
     TreeSyntaxError,
 )
-from .trees import RootedTree, distinguishes, is_proper, parse_tree, to_rooted
 
-# json, the list code and the self-test (with the families and the oracle)
-# load only in the branches that use them, so a request never pays for
-# what it does not run.
+# the library modules load in the functions that run them, so ``--help``
+# and usage errors load none, ``verify`` only the tree code and ``count``
+# no witness code; json, the list code and the self-test (with the
+# families and the oracle) load only in the branches that use them
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,11 +42,41 @@ _BOUND_ERRORS = (EnumerationBoundError, ClassCapError, SaturatedCountError)
 _COLORING_ERRORS = (NoColoringError, CountIndexError)
 
 
+def _spelled(path: str) -> str:
+    """``path`` as every file error names it, and as pathlib spells it:
+    without ``.`` parts or repeated or trailing slashes, and ``.`` when
+    empty."""
+    rel = path.lstrip("/")
+    lead = len(path) - len(rel)
+    root = "//" if lead == 2 else "/" if lead else ""
+    return root + "/".join(p for p in rel.split("/") if p not in ("", ".")) or "."
+
+
 def _read_input(path: str) -> str:
     """UTF-8 text of a file, or of stdin for ``-``, with one leading
     byte-order mark dropped."""
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(_spelled(path), "rb") as f:
+            data = f.read()
     return data.decode("utf-8-sig")
+
+
+def _batch_files(folder: str) -> list:
+    """Names of the regular files in ``folder``, sorted.  An entry whose
+    link dangles, loops or runs through a file is no file; any other
+    failed stat is an error."""
+    names = []
+    with os.scandir(_spelled(folder)) as entries:
+        for entry in entries:
+            try:
+                if stat.S_ISREG(os.stat(_spelled(entry.path)).st_mode):
+                    names.append(entry.name)
+            except OSError as exc:
+                if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+                    raise
+    return sorted(names)
 
 
 def _positive_int(tok: str) -> int:
@@ -74,29 +94,27 @@ def _selftest_size(tok: str) -> int:
 
 
 def _load_tree(args):
+    from .trees import parse_tree
+
     return parse_tree(_read_input(args.input), args.format)
 
 
-def _render_color(c: int) -> str:
-    return "*" if c == STAR_COLOR else str(c)
+def _coloring_lines(t, coloring) -> list:
+    from .trees import STAR_COLOR
 
-
-def _parse_color(tok: str) -> int:
-    return STAR_COLOR if tok == "*" else int(tok)
-
-
-def _coloring_lines(t, coloring: Coloring) -> list:
     labels, colors = t.labels, coloring.colors
-    names = {c: _render_color(c) for c in set(colors.values())}
+    names = {c: "*" if c == STAR_COLOR else str(c) for c in set(colors.values())}
     return [f"{labels[v]} {names[colors[v]]}" for v in sorted(colors, key=labels.__getitem__)]
 
 
 def _coloring_json(t, colors: dict) -> dict:
+    from .trees import STAR_COLOR
+
     labels = t.labels
     return {labels[v]: ("*" if c == STAR_COLOR else c) for v, c in colors.items()}
 
 
-def _certificate_json(rt: RootedTree, cert) -> dict | None:
+def _certificate_json(rt, cert) -> dict | None:
     if cert is None:
         return None
     labels = rt.labels
@@ -110,6 +128,10 @@ def _certificate_json(rt: RootedTree, cert) -> dict | None:
 
 
 def _analyze_one(t, witness: bool, counts_k: int | None) -> dict:
+    from .construction import _parameters, _table, _witness
+    from .counting import CountTable
+    from .trees import to_rooted
+
     start = time.perf_counter()
     rt = to_rooted(t)
     rooted_input = rt is t
@@ -198,18 +220,19 @@ def _report_lines(report: dict) -> list:
 def cmd_analyze(args) -> int:
     import json
 
+    from .trees import parse_tree
+
     if args.batch:
-        paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         reports = []
-        for p in paths:
+        for name in _batch_files(args.batch):
             try:
-                t = parse_tree(_read_input(str(p)), args.format)
+                t = parse_tree(_read_input(os.path.join(args.batch, name)), args.format)
             except _INPUT_ERRORS as exc:
-                print(f"error: {p.name}: {exc}", file=sys.stderr)
-                reports.append({"file": p.name, "error": str(exc)})
+                print(f"error: {name}: {exc}", file=sys.stderr)
+                reports.append({"file": name, "error": str(exc)})
                 continue
             rep = _analyze_one(t, args.witness, args.counts)
-            rep["file"] = p.name
+            rep["file"] = name
             reports.append(rep)
         if args.json:
             print(json.dumps(reports, sort_keys=True))
@@ -232,6 +255,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .counting import CountTable
+    from .trees import to_rooted
+
     if args.list and args.k is not None:
         raise TreeSyntaxError("K is not supported together with --list")
     t = _load_tree(args)
@@ -261,6 +287,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_color(args) -> int:
+    from .construction import _construct
+    from .trees import to_rooted
+
     if args.list and (args.k is not None or args.index is not None):
         raise TreeSyntaxError("K and --index are not supported together with --list")
     t = _load_tree(args)
@@ -280,6 +309,9 @@ def cmd_color(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .construction import chi_certificate
+    from .trees import to_rooted
+
     t = _load_tree(args)
     rt = to_rooted(t)
     cert = _certificate_json(rt, chi_certificate(rt))
@@ -297,7 +329,9 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _read_coloring_file(text: str, t) -> Coloring:
+def _read_coloring_file(text: str, t) -> dict:
+    from .trees import STAR_COLOR, RootedTree
+
     base = t.base if isinstance(t, RootedTree) else t
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -314,16 +348,18 @@ def _read_coloring_file(text: str, t) -> Coloring:
         if v in out:
             raise ListFormatError(f"line {lineno}: repeated vertex {parts[0]!r}")
         try:
-            out[v] = _parse_color(parts[1])
+            out[v] = STAR_COLOR if parts[1] == "*" else int(parts[1])
         except ValueError:
             raise ListFormatError(f"line {lineno}: bad color {parts[1]!r}") from None
     missing = [base.labels[v] for v in range(base.n) if v not in out]
     if missing:
         raise ListFormatError(f"coloring misses: {', '.join(sorted(missing))}")
-    return Coloring(out)
+    return out
 
 
 def cmd_verify(args) -> int:
+    from .trees import distinguishes, is_proper
+
     t = _load_tree(args)
     coloring = _read_coloring_file(_read_input(args.coloring), t)
     problems = []

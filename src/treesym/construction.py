@@ -30,9 +30,7 @@ from .errors import (
     NotDistinguishingError,
     SaturatedCountError,
 )
-from .trees import RootedTree, _color_map, to_rooted
-
-STAR_COLOR = 0
+from .trees import STAR_COLOR, RootedTree, _color_map, to_rooted
 
 
 class Coloring(_Frozen):
@@ -140,8 +138,9 @@ def _certificate(table: CountTable, k: int) -> Certificate | None:
         if short[ids[v]]:
             kids = order[span[2 * v]:span[2 * v + 1]]
             sizes = Counter(map(ids.__getitem__, kids))
-            cid = min((c for c, m in sizes.items() if (k - 1) * row[c] < m),
-                      key=rt._class_order().__getitem__)
+            cands = [c for c, m in sizes.items() if (k - 1) * row[c] < m]
+            # a lone candidate needs no ranking, so no global class order
+            cid = cands[0] if len(cands) == 1 else min(cands, key=rt._class_order().__getitem__)
             return Certificate(v, tuple(sorted(w for w in kids if ids[w] == cid)), k)
     return None
 

@@ -18,6 +18,9 @@ from .errors import InvalidTreeError, TreeSyntaxError
 
 SYNTHETIC_CENTER_LABEL = "⟨center⟩"
 
+# the repair color of proper witnesses, written ``*``; palettes are 1..k
+STAR_COLOR = 0
+
 
 class Tree:
     """Immutable unrooted tree; ``labels[i]`` names vertex id ``i``.
@@ -347,7 +350,11 @@ class RootedTree:
             leaves = 1
             for key, cid in table.items():
                 if type(key) is int:
-                    key = (key,)
+                    # a lone child, of class ``key``
+                    owner.append(cid)
+                    kids.append(key)
+                    mults.append(1)
+                    continue
                 for c, run in itertools.groupby(key):
                     owner.append(cid)
                     kids.append(c)
@@ -589,9 +596,9 @@ def _color_map(coloring, n: int | None = None):
     # n given, a vertex of 0..n-1 that it misses is a ValueError
     colors = getattr(coloring, "colors", coloring)
     if n is not None:
-        for v in range(n):
-            if v not in colors:
-                raise ValueError(f"coloring misses vertex {v}")
+        v = next(itertools.filterfalse(colors.__contains__, range(n)), None)
+        if v is not None:
+            raise ValueError(f"coloring misses vertex {v}")
     return colors
 
 

@@ -23,12 +23,12 @@ from treesym.families import all_trees_up_to, path, random_tree, spider, star
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_cli(*args, stdin="", **extra_env):
+def run_cli(*args, stdin="", cwd=None, **extra_env):
     env = dict(os.environ, **extra_env)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.path.abspath(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "treesym", *args],
-        input=stdin, capture_output=True, text=True, env=env,
+        input=stdin, capture_output=True, text=True, env=env, cwd=cwd,
     )
 
 
@@ -362,6 +362,112 @@ def test_batch_reports_every_file(tmp_path):
     assert text.returncode == 2
     assert "== b_bad.txt ==\nerror: " in text.stdout
     assert "== c_k13.txt ==\ntree on 4 vertices" in text.stdout
+
+
+USAGE = "usage: treesym [-h] {analyze,count,color,certify,verify,selftest} ...\n"
+HELP = USAGE + """
+Exact symmetry-breaking coloring analysis for trees.
+
+positional arguments:
+  {analyze,count,color,certify,verify,selftest}
+    analyze             parameters, certificate, optional witnesses
+    count               exact class counts
+    color               emit a witness coloring
+    certify             extra-color certificate or 'none'
+    verify              check a coloring file
+    selftest            run the built-in oracle checks
+
+options:
+  -h, --help            show this help message and exit
+"""
+COLOR_HELP = """\
+usage: treesym color [-h] [--format {edge-list,parens}] [--proper]
+                     [--list FILE] [--index INDEX]
+                     [input] [k]
+
+positional arguments:
+  input                 input file, or - for stdin
+  k
+
+options:
+  -h, --help            show this help message and exit
+  --format {edge-list,parens}
+  --proper
+  --list FILE
+  --index INDEX         class index of the emitted representative (default 0)
+"""
+P4_REPORT = """\
+== p4.txt ==
+tree on 4 vertices; center: edge (b, c); reduction subdivides the central edge
+distinguishing number D = 2
+distinguishing chromatic number chi_D = 2
+certificate: none (chi_D = D)
+time: X ms
+"""
+BAD_UTF8 = "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+BATCH_TEXT = P4_REPORT.replace("p4.txt", "a_p4.txt") + f"""\
+== b_k13.txt ==
+tree on 4 vertices; center: vertex (hub)
+distinguishing number D = 3
+distinguishing chromatic number chi_D = 4
+certificate: vertex hub with sibling class {{a, b, c}} of size 3
+time: X ms
+== c_bad.txt ==
+error: {BAD_UTF8}
+"""
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", [
+    pytest.param(["--help"], 0, HELP, "", id="help"),
+    pytest.param(["color", "--help"], 0, COLOR_HELP, "", id="color-help"),
+    pytest.param([], 2, "", USAGE + "treesym: error: the following arguments are required: "
+                 "command\n", id="no-arguments"),
+    pytest.param(["frob"], 2, "", USAGE + "treesym: error: argument command: invalid choice: "
+                 "'frob' (choose from 'analyze', 'count', 'color', 'certify', 'verify', "
+                 "'selftest')\n", id="unknown-subcommand"),
+    pytest.param(["verify", "p4.txt", "good.txt"], 0,
+                 "PASS: coloring is distinguishing\n", "", id="verify-pass"),
+    pytest.param(["verify", "p4.txt", "good.txt", "--proper"], 0,
+                 "PASS: coloring is distinguishing and proper\n", "", id="verify-proper-pass"),
+    pytest.param(["verify", "p4.txt", "sym.txt"], 1,
+                 "FAIL: preserved by a nontrivial automorphism\n", "", id="verify-fail"),
+    pytest.param(["verify", "p4.txt", "sym.txt", "--proper"], 1,
+                 "FAIL: not proper; preserved by a nontrivial automorphism\n", "",
+                 id="verify-proper-fail"),
+    pytest.param(["analyze", "--batch", "batch"], 2, BATCH_TEXT,
+                 f"error: c_bad.txt: {BAD_UTF8}\n", id="batch-order"),
+    # files are named in errors without "." parts or repeated or trailing
+    # slashes, and a dangling or looping link in a batch folder is no file
+    pytest.param(["analyze", "./missing.txt"], 2, "",
+                 "error: [Errno 2] No such file or directory: 'missing.txt'\n",
+                 id="missing-file-spelling"),
+    pytest.param(["verify", "p4.txt", ".//batch/./"], 2, "",
+                 "error: [Errno 21] Is a directory: 'batch'\n", id="directory-spelling"),
+    pytest.param(["analyze", "--batch", "./nodir/"], 2, "",
+                 "error: [Errno 2] No such file or directory: 'nodir'\n",
+                 id="missing-batch-spelling"),
+    pytest.param(["analyze", "--batch", "links"], 0, P4_REPORT + P4_REPORT.replace(
+        "p4.txt", "q_link.txt"), "", id="batch-links"),
+])
+def test_help_usage_and_verdict_texts(tmp_path, argv, code, stdout, stderr):
+    # stdout, stderr and exit code exactly; argparse wraps at COLUMNS
+    (tmp_path / "p4.txt").write_text(P4)
+    (tmp_path / "good.txt").write_text("a 1\nb 2\nc 1\nd 2\n")
+    (tmp_path / "sym.txt").write_text("a 1\nb 2\nc 2\nd 1\n")
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "b_k13.txt").write_text(K13)
+    (batch / "a_p4.txt").write_text(P4)
+    (batch / "c_bad.txt").write_bytes(b"a b\n\xff c\n")
+    links = tmp_path / "links"
+    links.mkdir()
+    (links / "p4.txt").write_text(P4)
+    os.symlink("p4.txt", links / "q_link.txt")
+    os.symlink("nowhere", links / "dangling")
+    os.symlink("loop", links / "loop")
+    out = run_cli(*argv, cwd=tmp_path, COLUMNS="80")
+    assert (out.returncode, re.sub(r"time: [0-9.]+ ms", "time: X ms", out.stdout),
+            out.stderr) == (code, stdout, stderr)
 
 
 class _CountedWrites(io.StringIO):

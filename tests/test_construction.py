@@ -513,26 +513,48 @@ def test_certificate_matches_parameters_small():
             assert pool < len(members)
 
 
-def _first_short_class(rt, k):
-    # the certificate's definition: the first (vertex, sibling class) in BFS
-    # and sibling-class order whose class outgrows its pool of proper classes
+def _short_classes(rt, k):
+    # the certificate's definition: the first vertex in BFS order with a
+    # sibling class that outgrows its pool of proper classes, and its short
+    # classes in sibling-class order, the first of which is the certificate's
     row = CountTable(rt).row(k - 1)
     for v in rt.bfs_order:
-        for cid, members in rt.sibling_classes(v):
-            if (k - 1) * row[cid] < len(members):
-                return v, tuple(members)
+        short = [tuple(members) for cid, members in rt.sibling_classes(v)
+                 if (k - 1) * row[cid] < len(members)]
+        if short:
+            return v, short
     return None
 
 
 def test_certificate_is_first_short_class():
-    seen = 0
+    seen = ranked = 0
     for t in all_trees_up_to(10):
+        t = Tree(t.labels, t.edges)  # no view shared with earlier checks
         for rt in (to_rooted(t), RootedTree(t, 0)):
             cert = chi_certificate(rt)
             if cert is not None and not cert.degenerate:
-                assert (cert.vertex, cert.children) == _first_short_class(rt, cert.k)
+                ordered = rt._order is not None
+                v, short = _short_classes(rt, cert.k)
+                assert (cert.vertex, cert.children) == (v, short[0])
+                # only a choice between short classes reads the global order
+                assert ordered == (len(short) > 1)
                 seen += 1
-    assert seen > 100
+                ranked += ordered
+    assert seen > 100 and ranked > 0
+
+
+@pytest.mark.parametrize("t", [path(501), spider(250, 250, 250, 250), _binary(7)],
+                         ids=["path", "spider", "binary"])
+def test_lone_short_class_needs_no_class_order(monkeypatch, t):
+    # the certificate vertex of each of these has one short class
+    expected = parameters(t)
+    assert expected[2] is not None and not expected[2].degenerate
+
+    def refuse(self):
+        raise AssertionError("the global class order was built")
+
+    monkeypatch.setattr(RootedTree, "_class_order", refuse)
+    assert parameters(t) == expected
 
 
 def test_certificate_with_two_short_classes():

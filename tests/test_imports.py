@@ -10,38 +10,42 @@ import treesym
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
-# runs one request through cli.main and writes the loaded module names to
-# the file named by its first argument
+# runs one request through cli.main, help and usage errors included, and
+# writes the loaded module names to the file named by its first argument
 PROBE = """\
 import sys
 from treesym import cli
-code = cli.main(sys.argv[2:])
+try:
+    code = cli.main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
 with open(sys.argv[1], "w") as out:
     out.write("\\n".join(sorted(sys.modules)))
 sys.exit(code)
 """
 
-OFF_PATH = {"treesym.oracle", "treesym.list_coloring", "treesym.families",
-            "treesym.selftest"}
+ANALYSIS = {"trees", "counting", "construction"}
 
 
 def _python(*args):
+    # without site, whose packages may import pathlib, json or dataclasses
+    # before any treesym code runs
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True,
                           env=env)
 
 
-def _loaded(tmp_path, *argv) -> set:
+def _loaded(tmp_path, *argv, code=0) -> set:
     mods = tmp_path / "modules.txt"
     out = _python("-c", PROBE, str(mods), *argv)
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == code, out.stderr
     return set(mods.read_text().split())
 
 
 @pytest.fixture(scope="module")
 def bare():
-    # the modules a bare interpreter has, site packages included
+    # the modules a bare interpreter has
     out = _python("-c", "import sys; print('\\n'.join(sys.modules))")
     return set(out.stdout.split())
 
@@ -54,32 +58,42 @@ def files(tmp_path):
     coloring.write_text("a 1\nb 2\nc 1\nd 2\n")
     lists = tmp_path / "lists.txt"
     lists.write_text("a: 1,2\nb: 1,2\nc: 1,2\nd: 1,2\n")
-    return str(tree), str(coloring), str(lists)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "t.txt").write_text(tree.read_text())
+    return str(tree), str(coloring), str(lists), str(batch)
 
 
-@pytest.mark.parametrize("request_args", [
-    pytest.param(["analyze", "{tree}", "--json"], id="analyze-json"),
-    pytest.param(["count", "{tree}", "3"], id="count-k"),
-    pytest.param(["color", "{tree}"], id="color"),
-    pytest.param(["color", "{tree}", "--proper"], id="color-proper"),
-    pytest.param(["certify", "{tree}"], id="certify"),
-    pytest.param(["verify", "{tree}", "{coloring}"], id="verify"),
-    pytest.param(["verify", "{tree}", "{coloring}", "--proper"], id="verify-proper"),
+@pytest.mark.parametrize("request_args,code,library", [
+    pytest.param(["--help"], 0, set(), id="help"),
+    pytest.param([], 2, set(), id="usage-error"),
+    pytest.param(["analyze", "{tree}", "--json"], 0, ANALYSIS, id="analyze-json"),
+    pytest.param(["analyze", "--batch", "{batch}", "--json"], 0, ANALYSIS, id="analyze-batch"),
+    pytest.param(["count", "{tree}", "3"], 0, {"trees", "counting"}, id="count-k"),
+    pytest.param(["color", "{tree}"], 0, ANALYSIS, id="color"),
+    pytest.param(["color", "{tree}", "--proper"], 0, ANALYSIS, id="color-proper"),
+    pytest.param(["certify", "{tree}"], 0, ANALYSIS, id="certify"),
+    pytest.param(["verify", "{tree}", "{coloring}"], 0, {"trees"}, id="verify"),
+    pytest.param(["verify", "{tree}", "{coloring}", "--proper"], 0, {"trees"},
+                 id="verify-proper"),
 ])
-def test_request_loads_only_what_it_runs(tmp_path, files, bare, request_args):
-    tree, coloring, _ = files
-    argv = [a.format(tree=tree, coloring=coloring) for a in request_args]
-    loaded = _loaded(tmp_path, *argv)
-    assert "treesym.trees" in loaded
-    assert not loaded & OFF_PATH
-    # site packages may load these before any treesym code runs
+def test_request_loads_only_what_it_runs(tmp_path, files, bare, request_args, code,
+                                         library):
+    tree, coloring, _, batch = files
+    argv = [a.format(tree=tree, coloring=coloring, batch=batch) for a in request_args]
+    loaded = _loaded(tmp_path, *argv, code=code)
+    # besides the front end and the error classes, exactly the library
+    # modules that the request runs
+    assert {m for m in loaded if m.startswith("treesym.")} == {
+        "treesym.cli", "treesym.errors", *(f"treesym.{m}" for m in library)}
+    assert "pathlib" not in loaded or "pathlib" in bare
     assert "dataclasses" not in loaded or "dataclasses" in bare
     if "--json" not in argv:
         assert "json" not in loaded or "json" in bare
 
 
 def test_count_list_loads_the_list_code(tmp_path, files):
-    tree, _, lists = files
+    tree, _, lists, _ = files
     loaded = _loaded(tmp_path, "count", tree, "--list", lists)
     assert "treesym.list_coloring" in loaded
     assert "treesym.selftest" not in loaded

@@ -404,6 +404,10 @@ def test_distinguishes_missing_vertex():
         distinguishes(rt, phi)
     with pytest.raises(ValueError):
         is_distinguishing(rt, phi)
+    # the least missing vertex is named, however many keys the map has
+    gaps = {v: 1 for v in range(t.n + 3) if v not in (1, 2)}
+    with pytest.raises(ValueError, match=r"^coloring misses vertex 1$"):
+        distinguishes(t, gaps)
 
 
 
