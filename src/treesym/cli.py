@@ -8,11 +8,9 @@ out of range.
 """
 
 import argparse
-import errno
-import os
-import stat
 import sys
 import time
+from pathlib import Path
 
 from .errors import (
     ClassCapError,
@@ -42,41 +40,11 @@ _BOUND_ERRORS = (EnumerationBoundError, ClassCapError, SaturatedCountError)
 _COLORING_ERRORS = (NoColoringError, CountIndexError)
 
 
-def _spelled(path: str) -> str:
-    """``path`` as every file error names it, and as pathlib spells it:
-    without ``.`` parts or repeated or trailing slashes, and ``.`` when
-    empty."""
-    rel = path.lstrip("/")
-    lead = len(path) - len(rel)
-    root = "//" if lead == 2 else "/" if lead else ""
-    return root + "/".join(p for p in rel.split("/") if p not in ("", ".")) or "."
-
-
 def _read_input(path: str) -> str:
     """UTF-8 text of a file, or of stdin for ``-``, with one leading
     byte-order mark dropped."""
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(_spelled(path), "rb") as f:
-            data = f.read()
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     return data.decode("utf-8-sig")
-
-
-def _batch_files(folder: str) -> list:
-    """Names of the regular files in ``folder``, sorted.  An entry whose
-    link dangles, loops or runs through a file is no file; any other
-    failed stat is an error."""
-    names = []
-    with os.scandir(_spelled(folder)) as entries:
-        for entry in entries:
-            try:
-                if stat.S_ISREG(os.stat(_spelled(entry.path)).st_mode):
-                    names.append(entry.name)
-            except OSError as exc:
-                if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
-                    raise
-    return sorted(names)
 
 
 def _positive_int(tok: str) -> int:
@@ -223,16 +191,17 @@ def cmd_analyze(args) -> int:
     from .trees import parse_tree
 
     if args.batch:
+        paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         reports = []
-        for name in _batch_files(args.batch):
+        for p in paths:
             try:
-                t = parse_tree(_read_input(os.path.join(args.batch, name)), args.format)
+                t = parse_tree(_read_input(str(p)), args.format)
             except _INPUT_ERRORS as exc:
-                print(f"error: {name}: {exc}", file=sys.stderr)
-                reports.append({"file": name, "error": str(exc)})
+                print(f"error: {p.name}: {exc}", file=sys.stderr)
+                reports.append({"file": p.name, "error": str(exc)})
                 continue
             rep = _analyze_one(t, args.witness, args.counts)
-            rep["file"] = name
+            rep["file"] = p.name
             reports.append(rep)
         if args.json:
             print(json.dumps(reports, sort_keys=True))

@@ -350,11 +350,7 @@ class RootedTree:
             leaves = 1
             for key, cid in table.items():
                 if type(key) is int:
-                    # a lone child, of class ``key``
-                    owner.append(cid)
-                    kids.append(key)
-                    mults.append(1)
-                    continue
+                    key = (key,)
                 for c, run in itertools.groupby(key):
                     owner.append(cid)
                     kids.append(c)

@@ -436,8 +436,9 @@ error: {BAD_UTF8}
                  id="verify-proper-fail"),
     pytest.param(["analyze", "--batch", "batch"], 2, BATCH_TEXT,
                  f"error: c_bad.txt: {BAD_UTF8}\n", id="batch-order"),
-    # files are named in errors without "." parts or repeated or trailing
-    # slashes, and a dangling or looping link in a batch folder is no file
+    # errors name a file as pathlib spells it, without "." parts or repeated
+    # or trailing slashes, and a dangling or looping link in a batch folder
+    # is no file
     pytest.param(["analyze", "./missing.txt"], 2, "",
                  "error: [Errno 2] No such file or directory: 'missing.txt'\n",
                  id="missing-file-spelling"),

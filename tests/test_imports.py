@@ -86,7 +86,6 @@ def test_request_loads_only_what_it_runs(tmp_path, files, bare, request_args, co
     # modules that the request runs
     assert {m for m in loaded if m.startswith("treesym.")} == {
         "treesym.cli", "treesym.errors", *(f"treesym.{m}" for m in library)}
-    assert "pathlib" not in loaded or "pathlib" in bare
     assert "dataclasses" not in loaded or "dataclasses" in bare
     if "--json" not in argv:
         assert "json" not in loaded or "json" in bare
