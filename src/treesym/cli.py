@@ -10,6 +10,7 @@ out of range.
 import argparse
 import sys
 import time
+from itertools import filterfalse
 from pathlib import Path
 
 from .errors import (
@@ -242,9 +243,6 @@ def cmd_count(args) -> int:
         if args.proper:
             print(count_proper_list_distinguishing(rt, assignment).value)
             return EXIT_OK
-        if rt.subdivided:
-            assignment = assignment.extended(rt.subdivision_vertex,
-                                             {assignment.max_color() + 1})
         print(count_list_distinguishing(rt, assignment).value)
         return EXIT_OK
     if args.k is None:
@@ -320,7 +318,7 @@ def _read_coloring_file(text: str, t) -> dict:
             out[v] = STAR_COLOR if parts[1] == "*" else int(parts[1])
         except ValueError:
             raise ListFormatError(f"line {lineno}: bad color {parts[1]!r}") from None
-    missing = [base.labels[v] for v in range(base.n) if v not in out]
+    missing = [base.labels[v] for v in filterfalse(out.__contains__, range(base.n))]
     if missing:
         raise ListFormatError(f"coloring misses: {', '.join(sorted(missing))}")
     return out

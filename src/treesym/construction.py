@@ -241,13 +241,10 @@ def _unrank(table: CountTable, k: int, proper: bool, start: int,
     push = stack.append
     while stack:
         v, rem = stack.pop()
-        plan = plans[ids[v]]
-        if plan is None:
-            plan = table._plan(a, v)
         # the j-th open color is j, or j + 1 from the parent's color on
         skip = out[v] if proper else k + 1
         pos = span[2 * v]
-        for m, f, later, leaf in plan:
+        for m, f, later, leaf in plans[ids[v]]:
             q = 0
             if rem >= later:
                 q, rem = divmod(rem, later)
@@ -308,12 +305,9 @@ def rank_distinguishing(rt: RootedTree, k: int, coloring) -> BigCount:
     # the unrank order in closed form: (color - 1) * f(v), plus each
     # sibling class's subset rank times its plan's later blocks
     for v in reversed(rt.bfs_order):
-        plan = plans[ids[v]]
-        if plan is None:
-            plan = table._plan(k, v)
         idx = (colors[v] - 1) * row[ids[v]]
         pos = span[2 * v]
-        for m, _, later, _ in plan:
+        for m, _, later, _ in plans[ids[v]]:
             rs = sorted([ranks[c] for c in grouped[pos:pos + m]])
             if len(set(rs)) != m:
                 raise NotDistinguishingError(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from math import comb
+from operator import itemgetter
 
 from .errors import SaturatedCountError
 from .trees import RootedTree
@@ -166,7 +167,6 @@ class CountTable:
         self._icap = None if self.cap is None else max(self.cap, rt.n + 1)
         self._rows: dict = {}
         self._plans: dict = {}
-        self._plan_pool: dict = {}
 
     def _check_k(self, k: int) -> int:
         k = int(k)
@@ -187,39 +187,35 @@ class CountTable:
         return row
 
     def _walk_plans(self, a: int) -> list:
-        # walk plans of row a by class id, None until _plan builds one
+        """The walk plans of row a by class id, which the unrank and rank
+        walkers read: per sibling class below a vertex of the class, in
+        code order, (members m, f_a of the class, product of the later
+        classes' blocks C(a * f_a, m), whether it is the leaf class).  All
+        are built the first time row a is walked, in one pass over the
+        class structure; equal plans of different classes are kept once.
+        A block clamps as the row does, and a clamped one makes its later
+        products exceed every index the walker splits by them."""
         plans = self._plans.get(a)
         if plans is None:
-            plans = self._plans[a] = [None] * self.rt.class_count()
+            rt, row, icap = self.rt, self.row(a), self._icap
+            rank = rt._class_order()
+            owner, kids, mults = rt.class_structure()
+            plans = self._plans[a] = [()] * rt.class_count()
+            pool: dict = {}
+            # a class's pairs are adjacent and by ascending class id, so
+            # only a class with several of them is sorted into code order
+            for cid, pairs in groupby(zip(kids, mults, owner), itemgetter(2)):
+                pairs = list(pairs)
+                if len(pairs) > 1:
+                    pairs.sort(key=lambda p: rank[p[0]])
+                plan = []
+                later = 1
+                for c, m, _ in reversed(pairs):
+                    plan.append((m, row[c], later, c == 0))
+                    later *= _binom(a * row[c], m, icap)
+                plan = tuple(reversed(plan))
+                plans[cid] = pool.setdefault(plan, plan)
         return plans
-
-    def _plan(self, a: int, v: int) -> tuple:
-        """The walk plan of v's class in row a, which the unrank and rank
-        walkers read: per sibling class below v in the flat sibling order,
-        (members m, f_a of the class, product of the later classes' blocks
-        C(a * f_a, m), whether it is the leaf class).  Every vertex of a
-        class has the same plan, so it is built from the first one a walk
-        meets; equal plans of different classes are kept once."""
-        rt = self.rt
-        row = self.row(a)
-        ids, span = rt.code_ids(), rt._child_span
-        kids = rt._grouped()[span[2 * v]:span[2 * v + 1]]
-        if not kids:
-            plan = ()
-        elif ids[kids[0]] == ids[kids[-1]]:
-            # one sibling class: no runs to find
-            c = ids[kids[0]]
-            plan = ((len(kids), row[c], 1, c == 0),)
-        else:
-            plan = []
-            later = 1
-            for c, run in reversed([(c, len(list(g)))
-                                    for c, g in groupby(kids, ids.__getitem__)]):
-                plan.append((run, row[c], later, c == 0))
-                later *= comb(a * row[c], run)
-            plan = tuple(reversed(plan))
-        plan = self._walk_plans(a)[ids[v]] = self._plan_pool.setdefault(plan, plan)
-        return plan
 
     def distinguishing_raw(self, v: int, k: int) -> int:
         k = self._check_k(k)

@@ -68,7 +68,8 @@ class ListAssignment:
             raise ListFormatError(f"no color list for vertex {v}") from None
 
     def require_cover(self, n: int):
-        for v in range(n):
+        v = next(itertools.filterfalse(self.lists.__contains__, range(n)), None)
+        if v is not None:
             self.get(v)
 
     def is_uniform(self, k: int) -> bool:
@@ -112,7 +113,8 @@ def parse_list_file(text: str, t) -> ListAssignment:
         if not colors:
             raise ListFormatError(f"line {lineno}: empty color list")
         out[v] = colors
-    missing = [base.labels[v] for v in range(base.n) if v not in out]
+    missing = [base.labels[v]
+               for v in itertools.filterfalse(out.__contains__, range(base.n))]
     if missing:
         raise ListFormatError(f"missing color lists for: {', '.join(sorted(missing))}")
     return ListAssignment.from_dict(out)
@@ -396,7 +398,11 @@ def count_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
                               class_cap: int = DEFAULT_CLASS_CAP) -> BigCount:
     """Exact number of classes of distinguishing colorings drawn from the
     given lists."""
-    assignment.require_cover(rt.n)
+    assignment.require_cover(rt.origin_count)
+    if rt.subdivided and rt.subdivision_vertex not in assignment.lists:
+        # the synthetic vertex's color is irrelevant to symmetry
+        assignment = assignment.extended(rt.subdivision_vertex,
+                                         {assignment.max_color() + 1})
     return BigCount(_count(rt, assignment, False, class_cap,
                            sorted(assignment.get(rt.root))))
 

@@ -9,15 +9,19 @@ import sys
 import pytest
 
 from treesym import (
+    ListAssignment,
     brute_count_classes,
     cli,
     construct_distinguishing_coloring,
+    count_list_distinguishing,
     distinguishing_chromatic_number,
     distinguishing_number,
+    parse_list_file,
     parse_tree,
     to_edge_list,
     to_rooted,
 )
+from treesym.errors import ListFormatError
 from treesym.families import all_trees_up_to, path, random_tree, spider, star
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -146,6 +150,40 @@ def test_edge_centered_counts_match_brute_force(tmp_path, capsys):
             assert [int(plain), int(proper)] == want
             assert [int(counts["distinguishing_classes"]),
                     int(counts["proper_distinguishing_classes"])] == want
+
+
+def test_edge_centered_list_counts_need_no_list_for_the_center(tmp_path, capsys):
+    # lists name the input tree's vertices only; the synthetic center of
+    # the reduction takes a color of its own inside the count
+    rng = random.Random(1806)
+    for t in all_trees_up_to(8):
+        rt = to_rooted(t)
+        if not rt.subdivided:
+            continue
+        tree = tmp_path / "t.txt"
+        tree.write_text(to_edge_list(t))
+        for _ in range(3):
+            la = ListAssignment.from_dict(
+                {v: rng.sample(range(1, 5), rng.randint(1, 3)) for v in range(t.n)})
+            lists = tmp_path / "lists.txt"
+            lists.write_text("".join(f"{t.labels[v]}: {','.join(map(str, la.get(v)))}\n"
+                                     for v in range(t.n)))
+            got = count_list_distinguishing(rt, la).value
+            assert got == brute_count_classes(t, lists=la).value
+            assert run_in_process("count", str(tree), "--list", str(lists)) == 0
+            assert capsys.readouterr().out == f"{got}\n"
+
+
+def test_files_missing_vertices_name_them():
+    # ids e=0 .. a=4; the files miss the middle ids 1 and 3: every missing
+    # label is named, sorted, and a list assignment names the least id
+    t = parse_tree("e d\nd c\nc b\nb a\n")
+    with pytest.raises(ListFormatError, match="^coloring misses: b, d$"):
+        cli._read_coloring_file("e 1\nc 2\na 1\n", t)
+    with pytest.raises(ListFormatError, match="^missing color lists for: b, d$"):
+        parse_list_file("e: 1\nc: 2\na: 1\n", t)
+    with pytest.raises(ListFormatError, match="^no color list for vertex 1$"):
+        ListAssignment.from_dict({0: [1], 2: [2], 4: [1]}).require_cover(5)
 
 
 def test_k_after_a_flag(p4_file, tmp_path, monkeypatch):

@@ -1,14 +1,18 @@
+from math import comb, prod
+
 import pytest
 
 from treesym import (
     BigCount,
     CountTable,
+    RootedTree,
     Tree,
     brute_count_classes,
     count_distinguishing,
     count_proper_distinguishing,
     to_rooted,
 )
+from treesym.construction import _table
 from treesym.families import (
     all_trees_up_to,
     nonisomorphic_rooted_trees,
@@ -155,3 +159,29 @@ def test_sibling_classes_share_entries():
     for k in (2, 3):
         assert table.distinguishing(u, k) == table.distinguishing(v, k)
         assert table.proper(u, k) == table.proper(v, k)
+
+
+def test_walk_plans_list_the_sibling_runs():
+    # a class's plan in row a lists the sibling classes of each of its
+    # vertices in code order, as (members, f_a, product of the later
+    # blocks C(a * f_a, m), leaf class); a saturating table's products
+    # agree with the exact ones below its internal cap
+    for t in all_trees_up_to(9):
+        for rt in (to_rooted(t), RootedTree(t, 0)):
+            exact = CountTable(rt)
+            for table in (exact, _table(rt, 0)):
+                for a in (1, 2, 3):
+                    row, true_row = table.row(a), exact.row(a)
+                    plans, icap = table._walk_plans(a), table._icap
+                    for v in range(rt.n):
+                        runs = rt.sibling_classes(v)
+                        plan = plans[rt.code_id(v)]
+                        assert [(m, f, leaf) for m, f, _, leaf in plan] == [
+                            (len(ms), row[c], c == 0) for c, ms in runs]
+                        for i, (_, _, later, _) in enumerate(plan):
+                            want = prod(comb(a * true_row[c], len(ms))
+                                        for c, ms in runs[i + 1:])
+                            if icap is None:
+                                assert later == want
+                            else:
+                                assert min(later, icap) == min(want, icap)

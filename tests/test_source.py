@@ -83,6 +83,12 @@ def _sources(*dirs) -> dict:
     return out
 
 
+def _package(sources: dict) -> dict:
+    # the modules of src/treesym among ``sources``, by file name
+    return {os.path.relpath(p, PKG): src for p, src in sources.items()
+            if os.path.dirname(os.path.abspath(p)) == os.path.abspath(PKG)}
+
+
 def dead_names(defined: dict, sources) -> dict:
     """Per module of ``defined`` (name -> source), the names it defines
     that no source in ``sources`` references."""
@@ -102,8 +108,52 @@ def test_no_dead_names():
     # every name src/treesym defines is read somewhere in src/, tests/ or
     # bench/, which this check only reads
     sources = _sources("src", "tests", "bench")
-    defined = {os.path.relpath(p, PKG): src for p, src in sources.items()
-               if os.path.dirname(os.path.abspath(p)) == os.path.abspath(PKG)}
+    defined = _package(sources)
     dead = dead_names(defined, sources.values())
     assert not dead, "defined but never referenced: " + "; ".join(
+        f"{m}: {', '.join(names)}" for m, names in sorted(dead.items()))
+
+
+def stored_attributes(source: str) -> set:
+    """Attributes that a module stores on ``self`` or ``rt``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id in ("self", "rt")}
+
+
+def read_attributes(source: str) -> set:
+    """Attributes that a module reads, and its strings (``getattr``)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def dead_attributes(defined: dict, sources) -> dict:
+    """Per module of ``defined`` (name -> source), the attributes it stores
+    that no source in ``sources`` reads."""
+    read = set().union(*map(read_attributes, sources))
+    return {m: sorted(dead) for m, src in defined.items()
+            if (dead := stored_attributes(src) - read)}
+
+
+def test_dead_attributes_are_found():
+    mod = "class C:\n    def __init__(self, rt):\n        self.a = self.b = 1\n" \
+          "        self.c: dict = {}\n        self.d[0] = 2\n        rt.e, rt.f = 3, 4\n" \
+          "    def g(self):\n        return self.a\n"
+    assert dead_attributes({"m": mod}, [mod]) == {"m": ["b", "c", "e", "f"]}
+    assert dead_attributes({"m": mod}, [mod, "x.b\nx.c.get(1)\ngetattr(x, 'e')\n"]) == {
+        "m": ["f"]}
+
+
+def test_no_dead_attributes():
+    # every attribute src/treesym stores on an instance is read somewhere in
+    # src/, tests/ or bench/
+    sources = _sources("src", "tests", "bench")
+    defined = _package(sources)
+    dead = dead_attributes(defined, sources.values())
+    assert not dead, "stored but never read: " + "; ".join(
         f"{m}: {', '.join(names)}" for m, names in sorted(dead.items()))
