@@ -37,8 +37,12 @@ EXIT_NO_COLORING = 4
 
 _INPUT_ERRORS = (TreeSyntaxError, InvalidTreeError, ListFormatError,
                  UnicodeDecodeError, OSError)
-_BOUND_ERRORS = (EnumerationBoundError, ClassCapError, SaturatedCountError)
-_COLORING_ERRORS = (NoColoringError, CountIndexError)
+# the exit code of each error kind, the first that matches
+_ERROR_EXITS = (
+    (_INPUT_ERRORS, EXIT_INPUT),
+    ((EnumerationBoundError, ClassCapError, SaturatedCountError), EXIT_BOUND),
+    ((NoColoringError, CountIndexError), EXIT_NO_COLORING),
+)
 
 
 def _read_input(path: str) -> str:
@@ -192,36 +196,29 @@ def cmd_analyze(args) -> int:
     from .trees import parse_tree
 
     if args.batch:
-        paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         reports = []
-        for p in paths:
+        for p in sorted(f for f in Path(args.batch).iterdir() if f.is_file()):
             try:
                 t = parse_tree(_read_input(str(p)), args.format)
             except _INPUT_ERRORS as exc:
                 print(f"error: {p.name}: {exc}", file=sys.stderr)
-                reports.append({"file": p.name, "error": str(exc)})
-                continue
-            rep = _analyze_one(t, args.witness, args.counts)
+                rep = {"error": str(exc)}
+            else:
+                rep = _analyze_one(t, args.witness, args.counts)
             rep["file"] = p.name
             reports.append(rep)
-        if args.json:
-            print(json.dumps(reports, sort_keys=True))
-        else:
-            lines = []
-            for rep in reports:
-                lines.append(f"== {rep['file']} ==")
-                if "error" in rep:
-                    lines.append(f"error: {rep['error']}")
-                else:
-                    lines += _report_lines(rep)
-            _emit(lines)
-        return EXIT_INPUT if any("error" in rep for rep in reports) else EXIT_OK
-    report = _analyze_one(_load_tree(args), args.witness, args.counts)
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
     else:
-        _emit(_report_lines(report))
-    return EXIT_OK
+        reports = [_analyze_one(_load_tree(args), args.witness, args.counts)]
+    if args.json:
+        print(json.dumps(reports if args.batch else reports[0], sort_keys=True))
+    else:
+        lines = []
+        for rep in reports:
+            if args.batch:
+                lines.append(f"== {rep['file']} ==")
+            lines += [f"error: {rep['error']}"] if "error" in rep else _report_lines(rep)
+        _emit(lines)
+    return EXIT_INPUT if any("error" in rep for rep in reports) else EXIT_OK
 
 
 def cmd_count(args) -> int:
@@ -240,10 +237,8 @@ def cmd_count(args) -> int:
         )
 
         assignment = parse_list_file(_read_input(args.list), t)
-        if args.proper:
-            print(count_proper_list_distinguishing(rt, assignment).value)
-            return EXIT_OK
-        print(count_list_distinguishing(rt, assignment).value)
+        count = count_proper_list_distinguishing if args.proper else count_list_distinguishing
+        print(count(rt, assignment).value)
         return EXIT_OK
     if args.k is None:
         raise TreeSyntaxError("count needs a palette size k (or --list FILE)")
@@ -422,15 +417,9 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except tuple(kind for kinds, _ in _ERROR_EXITS for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _BOUND_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except _COLORING_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_COLORING
+        return next(code for kinds, code in _ERROR_EXITS if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -11,20 +11,19 @@ bars from each child's pool the classes that lead with its parent's color.
 Witnesses keep only as many classes per vertex as its parent can use (the
 need rule of :func:`_list_witness`), so they need no cap.  Counts keep
 every class below the root, and a vertex with more than ``class_cap``
-classes for one root color is a hard error, never an approximation.  The
-root's classes are counted, not built, so the count itself may exceed
-``class_cap``.
+classes for one root color is a hard error, never an approximation.  No
+root's classes are built: counts count its selections and witnesses pick
+one, so the count itself may exceed ``class_cap``.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
 
 from .construction import Coloring
-from .counting import BigCount
+from .counting import BigCount, _Frozen
 from .errors import ClassCapError, ListFormatError
 from .trees import (
     RootedTree,
@@ -38,11 +37,13 @@ from .trees import (
 DEFAULT_CLASS_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class ListAssignment:
+class ListAssignment(_Frozen):
     """Finite set of allowed colors per vertex id."""
 
-    lists: dict
+    __slots__ = ("lists",)
+
+    def __init__(self, lists: dict):
+        object.__setattr__(self, "lists", lists)
 
     @classmethod
     def from_dict(cls, mapping) -> "ListAssignment":
@@ -271,10 +272,11 @@ def _picks(made: list, members: list, pinned, limit: int) -> list:
 
 
 def _classes(rt: RootedTree, assignment: ListAssignment, proper: bool,
-             groups: list, need: list, skip_root: bool,
-             class_cap: int | None = None) -> list | None:
+             groups: list, need: list, class_cap: int | None = None) -> list | None:
     """Bottom-up, up to ``need[v]`` distinct colored classes at each vertex
-    (the root last, unless skipped), or None once a vertex has none.
+    below the root, or None once a vertex has none.  Callers take the
+    root's selections from :func:`_picks`, as its key, like the root's in
+    :func:`treesym.trees._intern`, would carry no color.
 
     Per vertex, a dict from class id to (color, the selections that formed
     it).  Classes are interned as (color, sorted child class ids), as in
@@ -284,14 +286,14 @@ def _classes(rt: RootedTree, assignment: ListAssignment, proper: bool,
 
     Without ``class_cap`` these are the witness's classes: a proper vertex
     tries its colors in order and stops once, for every color its parent
-    might take, its classes of the other colors meet its need; the root,
-    which has no parent, stops at its first class.  With ``class_cap``,
-    every need is ``class_cap + 1`` and a vertex reaching it for one root
-    color raises :class:`ClassCapError`, so every set kept is complete.
+    might take, its classes of the other colors meet its need.  With
+    ``class_cap``, every need is ``class_cap + 1`` and a vertex reaching it
+    for one root color raises :class:`ClassCapError`, so every set kept is
+    complete.
     """
     table: dict = {}
     made: list = [None] * rt.n
-    for v in (rt.bfs_order[:0:-1] if skip_root else reversed(rt.bfs_order)):
+    for v in rt.bfs_order[:0:-1]:
         made[v] = mine = {}
         colors = sorted(assignment.get(v))
         most = 0
@@ -307,7 +309,7 @@ def _classes(rt: RootedTree, assignment: ListAssignment, proper: bool,
                 if most > class_cap:
                     raise _cap_error(rt, v, pinned, class_cap)
             # the parent's color bars at most the largest color's classes
-            elif len(mine) - (0 if v == rt.root else most) >= need[v]:
+            elif len(mine) - most >= need[v]:
                 break
         if not mine:
             return None
@@ -322,10 +324,13 @@ def _list_witness(rt: RootedTree, assignment: ListAssignment,
     Need, top-down: the root needs one class, and each member of a sibling
     class of size s under a vertex that needs j classes needs s + j - 1.
     Classes, bottom-up, by :func:`_classes`, each with the selections that
-    formed it; proper needs hold per root color.  On an edge-centered tree
-    the two halves need one class each, so each stops at two colors, and
-    they are glued with different colors at the central edge.  The
-    coloring is then rebuilt top-down from the kept selections.
+    formed it; proper needs hold per root color.  The root takes the first
+    color of its list (any, for proper; the least, for plain; none, for a
+    synthetic root without a list) under which each of its sibling classes
+    has a selection.  On a proper edge-centered tree the two halves need
+    one class each, so each stops at two colors, and they are glued with
+    different colors at the central edge.  The coloring is then rebuilt
+    top-down from the kept selections.
     """
     root = rt.root
     glue = proper and rt.subdivided
@@ -336,7 +341,7 @@ def _list_witness(rt: RootedTree, assignment: ListAssignment,
             for ms in groups[v]:
                 for m in ms:
                     need[m] = len(ms) + need[v] - 1
-    made = _classes(rt, assignment, proper, groups, need, skip_root=glue)
+    made = _classes(rt, assignment, proper, groups, need)
     if made is None:
         return None
     if glue:
@@ -347,7 +352,15 @@ def _list_witness(rt: RootedTree, assignment: ListAssignment,
             return None
         stack = [(u, start[0]), (w, start[1])]
     else:
-        stack = [(root, next(iter(made[root])))]
+        colors = sorted(assignment.lists.get(root, [None]))
+        for color in (colors if proper else colors[:1]):
+            sels = _picks(made, groups[root], color if proper else None, 1)
+            if all(sels):
+                break
+        else:
+            return None
+        made[root] = {0: (color, [sel[0] for sel in sels])}
+        stack = [(root, 0)]
     out = {}
     while stack:
         v, cid = stack.pop()
@@ -368,7 +381,7 @@ def _count(rt: RootedTree, assignment: ListAssignment, proper: bool,
     """
     groups = [[ms for _, ms in rt.sibling_classes(v)] for v in range(rt.n)]
     made = _classes(rt, assignment, proper, groups, [class_cap + 1] * rt.n,
-                    skip_root=True, class_cap=class_cap)
+                    class_cap=class_cap)
     if made is None:
         return 0
     if colors is None:
@@ -399,12 +412,10 @@ def count_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
     """Exact number of classes of distinguishing colorings drawn from the
     given lists."""
     assignment.require_cover(rt.origin_count)
-    if rt.subdivided and rt.subdivision_vertex not in assignment.lists:
-        # the synthetic vertex's color is irrelevant to symmetry
-        assignment = assignment.extended(rt.subdivision_vertex,
-                                         {assignment.max_color() + 1})
+    # a synthetic root without a list counts once: its color is irrelevant
+    # to symmetry
     return BigCount(_count(rt, assignment, False, class_cap,
-                           sorted(assignment.get(rt.root))))
+                           sorted(assignment.lists.get(rt.root, [None]))))
 
 
 def count_proper_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
@@ -426,10 +437,12 @@ def count_proper_list_distinguishing(rt: RootedTree, assignment: ListAssignment,
     return BigCount(_count(rt, assignment, True, class_cap, colors))
 
 
-@dataclass(frozen=True)
-class OrbitListCheck:
-    equality_expected: bool
-    witness: tuple | None
+class OrbitListCheck(_Frozen):
+    __slots__ = ("equality_expected", "witness")
+
+    def __init__(self, equality_expected: bool, witness: tuple | None):
+        object.__setattr__(self, "equality_expected", equality_expected)
+        object.__setattr__(self, "witness", witness)
 
 
 def check_orbit_list_equality(rt: RootedTree, assignment: ListAssignment,
@@ -463,12 +476,7 @@ def construct_list_distinguishing_coloring(
     """
     rt = to_rooted(t)
     assignment.require_cover(rt.origin_count)
-    work = assignment
-    if rt.subdivided and not proper:
-        # the synthetic vertex's color is irrelevant to symmetry
-        work = assignment.extended(rt.subdivision_vertex,
-                                   {assignment.max_color() + 1})
-    colors = _list_witness(rt, work, proper)
+    colors = _list_witness(rt, assignment, proper)
     if colors is None:
         return None
     coloring = Coloring(colors).restricted_to(range(rt.origin_count))

@@ -9,10 +9,9 @@ bounds are hard errors, never silent truncation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
 
-from .counting import BigCount
+from .counting import BigCount, _Frozen
 from .errors import EnumerationBoundError
 # is_proper lives beside distinguishes and is re-exported here with the
 # other coloring predicates
@@ -23,21 +22,22 @@ DEFAULT_COLORING_BOUND = 10_000_000
 DEFAULT_SEARCH_NODES = 10_000_000
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    perm: tuple
+class Automorphism(_Frozen):
+    __slots__ = ("perm",)
 
-    def __call__(self, v: int) -> int:
-        return self.perm[v]
+    def __init__(self, perm: tuple):
+        object.__setattr__(self, "perm", perm)
 
     @property
     def is_identity(self) -> bool:
         return all(i == p for i, p in enumerate(self.perm))
 
 
-@dataclass(frozen=True)
-class AutGroup:
-    elements: tuple
+class AutGroup(_Frozen):
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: tuple):
+        object.__setattr__(self, "elements", elements)
 
     @property
     def order(self) -> int:

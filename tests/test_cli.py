@@ -605,6 +605,25 @@ def test_selftest():
     assert "brute force on all trees with n=5 (3 trees, " in checks[3]
 
 
+def test_selftest_runs_every_case_and_counts_failed_checks(monkeypatch, capsys):
+    from treesym import selftest
+
+    seen = []
+
+    def agree(t):
+        seen.append(t.n)
+        return t.n != 4
+
+    monkeypatch.setattr(selftest, "_tree_counts_agree", agree)
+    assert selftest.run(5) == 1
+    *checks, last = capsys.readouterr().out.splitlines()
+    assert last == "selftest: 1 FAILURES"
+    [failed] = [line for line in checks if not line.startswith("ok  ")]
+    assert failed.startswith("FAIL  input-tree counts match exhaustive enumeration at n=4 (2 trees, ")
+    # a failed case stops no other case of its check
+    assert seen == [2, 3, 4, 4, 5, 5, 5]
+
+
 @pytest.mark.parametrize("case", ["counts-zero", "not-utf8", "directory",
                                   "batch-not-utf8", "bom"])
 def test_input_handling(tmp_path, case):

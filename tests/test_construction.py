@@ -117,6 +117,38 @@ def test_parameter_search_pass_counts(monkeypatch):
     assert sorted(rows) == [1, 2]
 
 
+@pytest.mark.parametrize("m, d", [(5, 3), (10, 4), (82, 10), (1000, 32)])
+def test_spider_parameters_past_the_linear_probes(monkeypatch, m, d):
+    # m legs of length 2: each leg has d^2 colorings and (d - 1)^2 proper
+    # ones, so D = ceil(sqrt(m)) from leaf bound 1, and chi_D = D + 1 with
+    # the legs as the certificate's class
+    probes = []
+    real = construction._least_positive_k
+
+    def traced(positive, start=1, limit=None):
+        return real(lambda k: probes.append(k) or positive(k), start, limit)
+
+    monkeypatch.setattr(construction, "_least_positive_k", traced)
+    t = spider(*[2] * m)
+    assert to_rooted(t).leaf_bound() == 1
+    d_found, chi, cert = parameters(t)
+    assert (d_found, chi) == (d, d + 1)
+    assert cert is not None and not cert.degenerate
+    assert cert.vertex == 0 and len(cert.children) == m and cert.k == d
+    if m == 82:
+        # the first spider to leave the linear probes: doubling, then bisection
+        assert probes[:13] == [*range(1, 10), 18, 13, 11, 10]
+
+
+def test_least_positive_k_finds_every_threshold():
+    for threshold in range(1, 301):
+        for start in range(1, 6):
+            assert (construction._least_positive_k(lambda k: k >= threshold, start)
+                    == max(threshold, start))
+    with pytest.raises(NoColoringError, match="^no positive count for any k <= 40$"):
+        construction._least_positive_k(lambda k: False, 1, limit=40)
+
+
 def test_witnesses_reuse_the_parameter_passes(monkeypatch):
     passes = []
     real = counting._pinned_pass
@@ -192,6 +224,8 @@ def test_unrank_star2_classes_differ():
     b = unrank_distinguishing(rt, 2, 1)
     assert is_distinguishing(rt, a) and is_distinguishing(rt, b)
     assert coloring_orbit_form(rt, a) != coloring_orbit_form(rt, b)
+    # an exact count is read as its value
+    assert unrank_distinguishing(rt, 2, BigCount(1, False, 2)) == b
 
 
 def test_unrank_bad_index():

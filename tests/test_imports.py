@@ -91,16 +91,18 @@ def test_request_loads_only_what_it_runs(tmp_path, files, bare, request_args, co
         assert "json" not in loaded or "json" in bare
 
 
-def test_count_list_loads_the_list_code(tmp_path, files):
+def test_count_list_loads_the_list_code(tmp_path, files, bare):
     tree, _, lists, _ = files
     loaded = _loaded(tmp_path, "count", tree, "--list", lists)
     assert "treesym.list_coloring" in loaded
     assert "treesym.selftest" not in loaded
+    assert "dataclasses" not in loaded or "dataclasses" in bare
 
 
-def test_selftest_alone_loads_its_checks(tmp_path):
+def test_selftest_alone_loads_its_checks(tmp_path, bare):
     loaded = _loaded(tmp_path, "selftest", "--max-n", "2")
     assert {"treesym.selftest", "treesym.oracle", "treesym.families"} <= loaded
+    assert "dataclasses" not in loaded or "dataclasses" in bare
 
 
 def test_bare_import_loads_no_submodule():

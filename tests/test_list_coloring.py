@@ -71,6 +71,10 @@ def test_parse_list_file_errors(p3):
         parse_list_file("0: a\n1: 1\n2: 1\n", p3)
     with pytest.raises(ListFormatError, match="repeated"):
         parse_list_file("0: 1\n0: 2\n1: 1\n2: 1\n", p3)
+    with pytest.raises(ListFormatError, match=r"^line 2: expected 'label: c1,c2,\.\.\.'$"):
+        parse_list_file("0: 1\n1 2\n2: 1\n", p3)
+    with pytest.raises(ListFormatError, match="^line 3: empty color list$"):
+        parse_list_file("0: 1\n1: 2\n2: , \n", p3)
 
 
 # -- counting -------------------------------------------------------------------

@@ -52,6 +52,9 @@ def test_parse_parens_star():
     assert not rt.subdivided
     assert len(rt.children[rt.root]) == 2
     assert all(not rt.children[c] for c in rt.children[rt.root])
+    # whitespace anywhere between the parentheses is skipped
+    spaced = parse_tree(" ( ()\n\t() ) \n", fmt="parens")
+    assert (spaced.n, spaced.labels, spaced.children) == (rt.n, rt.labels, rt.children)
 
 
 def test_parse_disconnected():

@@ -1,12 +1,24 @@
-"""The contract of the value types BigCount, Coloring and Certificate:
-construction, equality, hash, repr, immutability and pickling."""
+"""The contract of the value types BigCount, Coloring, Certificate,
+ListAssignment, OrbitListCheck, Automorphism and AutGroup: construction,
+equality, hash, repr, immutability and pickling."""
 
 import copy
 import pickle
 
 import pytest
 
-from treesym import BigCount, Certificate, Coloring
+from treesym import (
+    AutGroup,
+    Automorphism,
+    BigCount,
+    Certificate,
+    Coloring,
+    ListAssignment,
+    OrbitListCheck,
+)
+
+LISTS = ListAssignment({0: frozenset({1, 2}), 1: frozenset({3})})
+GROUP = AutGroup((Automorphism((0, 1)), Automorphism((1, 0))))
 
 
 def test_bigcount_construction_and_defaults():
@@ -38,6 +50,14 @@ def test_equality_is_field_wise_and_typed():
     assert Certificate(0, (1, 2), 3) == Certificate(0, (1, 2), 3, False)
     assert Certificate(0, (1, 2), 3) != Certificate(0, (1, 2), 3, True)
     assert Certificate(0, (1, 2), 3).__eq__((0, (1, 2), 3, False)) is NotImplemented
+    assert LISTS == ListAssignment(dict(LISTS.lists)) != ListAssignment({0: frozenset({1})})
+    assert LISTS != LISTS.lists
+    assert OrbitListCheck(False, (0, 1)) == OrbitListCheck(False, (0, 1))
+    assert OrbitListCheck(True, None) != OrbitListCheck(False, None)
+    assert OrbitListCheck(True, None).__eq__((True, None)) is NotImplemented
+    assert Automorphism((1, 0)) == Automorphism((1, 0)) != Automorphism((0, 1))
+    assert Automorphism((1, 0)) != (1, 0)
+    assert GROUP == AutGroup(tuple(GROUP.elements)) != AutGroup(GROUP.elements[:1])
 
 
 def test_hash():
@@ -46,6 +66,11 @@ def test_hash():
     assert hash(Certificate(0, (1,), 2)) == hash(Certificate(vertex=0, children=(1,), k=2))
     with pytest.raises(TypeError):
         hash(Coloring({0: 1}))
+    assert hash(OrbitListCheck(True, None)) == hash(OrbitListCheck(True, None))
+    assert hash(Automorphism((1, 0))) == hash(Automorphism(perm=(1, 0)))
+    assert len({GROUP, AutGroup(GROUP.elements), AutGroup(())}) == 2
+    with pytest.raises(TypeError):
+        hash(LISTS)
 
 
 def test_repr():
@@ -54,6 +79,11 @@ def test_repr():
     assert repr(Coloring({0: 1, 1: 2})) == "Coloring(colors={0: 1, 1: 2})"
     assert (repr(Certificate(4, (5, 6), 2))
             == "Certificate(vertex=4, children=(5, 6), k=2, degenerate=False)")
+    assert repr(ListAssignment({0: frozenset({1})})) == "ListAssignment(lists={0: frozenset({1})})"
+    assert (repr(OrbitListCheck(False, (0, 1)))
+            == "OrbitListCheck(equality_expected=False, witness=(0, 1))")
+    assert repr(Automorphism((1, 0))) == "Automorphism(perm=(1, 0))"
+    assert repr(AutGroup((Automorphism((0,)),))) == "AutGroup(elements=(Automorphism(perm=(0,)),))"
 
 
 @pytest.mark.parametrize("value, field", [
@@ -62,6 +92,11 @@ def test_repr():
     (Coloring({0: 1}), "colors"),
     (Certificate(0, (), 1, True), "degenerate"),
     (Certificate(0, (), 1, True), "k"),
+    (LISTS, "lists"),
+    (OrbitListCheck(True, None), "equality_expected"),
+    (OrbitListCheck(True, None), "witness"),
+    (Automorphism((0,)), "perm"),
+    (GROUP, "elements"),
 ])
 def test_fields_refuse_assignment(value, field):
     before = getattr(value, field)
@@ -81,10 +116,19 @@ def test_keyword_construction_and_positional_order():
         Coloring()
     with pytest.raises(TypeError):
         Certificate(1, (2,))
+    assert ListAssignment(lists={0: frozenset({1})}).get(0) == {1}
+    check = OrbitListCheck(equality_expected=False, witness=(2, 3))
+    assert (check.equality_expected, check.witness) == (False, (2, 3))
+    assert Automorphism(perm=(1, 0)).perm == (1, 0)
+    assert AutGroup(elements=GROUP.elements).order == 2
+    for cls in (ListAssignment, OrbitListCheck, Automorphism, AutGroup):
+        with pytest.raises(TypeError):
+            cls()
 
 
 @pytest.mark.parametrize("value", [
     BigCount(5, False, 9), Coloring({0: 1, 1: 2}), Certificate(0, (1, 2), 3, True),
+    LISTS, OrbitListCheck(False, (0, 1)), Automorphism((1, 0)), GROUP,
 ])
 def test_copy_and_pickle_round_trip(value):
     assert copy.copy(value) == value
