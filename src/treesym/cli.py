@@ -10,7 +10,6 @@ out of range.
 import argparse
 import sys
 import time
-from itertools import filterfalse
 from pathlib import Path
 
 from .errors import (
@@ -296,26 +295,11 @@ def _read_coloring_file(text: str, t) -> dict:
 
     base = t.base if isinstance(t, RootedTree) else t
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ListFormatError(f"line {lineno}: expected 'label color'")
+    for lineno, v, word in base._lines(text, None, "label color", "coloring misses"):
         try:
-            v = base.vertex_id(parts[0])
-        except KeyError:
-            raise ListFormatError(f"line {lineno}: unknown vertex label {parts[0]!r}") from None
-        if v in out:
-            raise ListFormatError(f"line {lineno}: repeated vertex {parts[0]!r}")
-        try:
-            out[v] = STAR_COLOR if parts[1] == "*" else int(parts[1])
+            out[v] = STAR_COLOR if word == "*" else int(word)
         except ValueError:
-            raise ListFormatError(f"line {lineno}: bad color {parts[1]!r}") from None
-    missing = [base.labels[v] for v in filterfalse(out.__contains__, range(base.n))]
-    if missing:
-        raise ListFormatError(f"coloring misses: {', '.join(sorted(missing))}")
+            raise ListFormatError(f"line {lineno}: bad color {word!r}") from None
     return out
 
 

@@ -114,7 +114,7 @@ def _binom(top: int, m: int, icap: int | None) -> int:
     if m >= icap:
         raise SaturatedCountError("internal cap too small for this class size")
     if m == 0:
-        return 1 if icap > 1 else icap
+        return 1
     if top >= icap:
         return icap
     if m > top:

@@ -88,37 +88,23 @@ class ListAssignment(_Frozen):
 def parse_list_file(text: str, t) -> ListAssignment:
     """Parse ``label: c1,c2,...`` lines against a tree's labels.
 
-    Blank lines and ``#`` comments are skipped; every vertex of the tree
-    must receive a list.
+    Each line is cut at its last ``:``; the lines are read as
+    ``Tree._lines`` says, and every color must be a positive integer.
     """
     base = t.base if isinstance(t, RootedTree) else t
     out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ListFormatError(f"line {lineno}: expected 'label: c1,c2,...'")
-        label, _, rest = line.partition(":")
-        label = label.strip()
+    for lineno, v, rest in base._lines(text, ":", "label: c1,c2,...",
+                                       "missing color lists for"):
         try:
-            v = base.vertex_id(label)
-        except KeyError:
-            raise ListFormatError(f"line {lineno}: unknown vertex label {label!r}") from None
-        if v in out:
-            raise ListFormatError(f"line {lineno}: repeated vertex {label!r}")
-        try:
-            colors = [int(tok) for tok in rest.replace(",", " ").split()]
+            colors = frozenset(map(int, rest.replace(",", " ").split()))
         except ValueError:
             raise ListFormatError(f"line {lineno}: colors must be integers") from None
         if not colors:
             raise ListFormatError(f"line {lineno}: empty color list")
+        if min(colors) < 1:
+            raise ListFormatError(f"line {lineno}: colors must be positive integers")
         out[v] = colors
-    missing = [base.labels[v]
-               for v in itertools.filterfalse(out.__contains__, range(base.n))]
-    if missing:
-        raise ListFormatError(f"missing color lists for: {', '.join(sorted(missing))}")
-    return ListAssignment.from_dict(out)
+    return ListAssignment(out)
 
 
 # -- bipartite matching ----------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from array import array
 
-from .errors import InvalidTreeError, TreeSyntaxError
+from .errors import InvalidTreeError, ListFormatError, TreeSyntaxError
 
 SYNTHETIC_CENTER_LABEL = "⟨center⟩"
 
@@ -37,11 +37,10 @@ class Tree:
             raise InvalidTreeError("vertex labels must be unique")
         edges = list(edges)
         try:
-            ends = list(map(int, itertools.chain.from_iterable(edges)))
+            ends = [int(x) for u, v in edges for x in (u, v)]
         except (TypeError, ValueError):
             _reject(labels, edges)
-        if len(ends) != 2 * len(edges) or (
-                labels and ends and (min(ends) < 0 or max(ends) >= len(labels))):
+        if labels and ends and (min(ends) < 0 or max(ends) >= len(labels)):
             _reject(labels, edges)
         self._build(labels, array("i", ends), edges)
 
@@ -85,6 +84,31 @@ class Tree:
             return self._label_ids[label]
         except KeyError:
             raise KeyError(f"unknown vertex label {label!r}") from None
+
+    def _lines(self, text: str, sep, form: str, missing: str):
+        """Yield ``(line number, vertex id, rest)`` per labelled line of a
+        list or coloring file.  Blank and ``#`` lines are skipped, a line is
+        cut at its last ``sep`` or, for ``sep=None``, into two words, and
+        every vertex needs exactly one line."""
+        ids, seen = self._label_ids, set()
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            words = line.rsplit(sep, 1) if sep else line.split()
+            if len(words) != 2:
+                raise ListFormatError(f"line {lineno}: expected '{form}'")
+            label = words[0].strip()
+            v = ids.get(label)
+            if v is None:
+                raise ListFormatError(f"line {lineno}: unknown vertex label {label!r}")
+            if v in seen:
+                raise ListFormatError(f"line {lineno}: repeated vertex {label!r}")
+            seen.add(v)
+            yield lineno, v, words[1]
+        if len(seen) < self.n:
+            left = sorted(s for v, s in enumerate(self.labels) if v not in seen)
+            raise ListFormatError(f"{missing}: {', '.join(left)}")
 
     def __repr__(self):
         return f"Tree(n={self.n})"
@@ -146,15 +170,18 @@ def _strip(n: int, ends: array) -> tuple | None:
 
 
 def _reject(labels: tuple, edges):
-    """Raise the error that names the first edge, in input order, at which
-    ``edges`` stops being a forest, or the missing connection."""
+    """Raise the error naming the first edge, in input order, that is no
+    id pair or where ``edges`` stops being a forest, or the missing link."""
     n = len(labels)
     # union-find: an edge inside one component closes a cycle, and an
     # acyclic edge set spans all n vertices iff it has n-1 edges
     uf = list(range(n))
     seen = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
+    for e in edges:
+        try:
+            u, v = map(int, e)
+        except (TypeError, ValueError):
+            raise InvalidTreeError(f"edge {e!r} is not a pair of vertex ids") from None
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidTreeError(f"edge ({u},{v}) references unknown vertex ids")
         if u == v:

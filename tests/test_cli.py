@@ -186,6 +186,62 @@ def test_files_missing_vertices_name_them():
         ListAssignment.from_dict({0: [1], 2: [2], 4: [1]}).require_cover(5)
 
 
+_LIST_ERRORS = [
+    # blank, blank-looking and ``#`` lines are skipped but still numbered
+    ("skipped", "\n# lists\n \t\nzz: 1\n", "line 4: unknown vertex label 'zz'"),
+    ("malformed", "a: 1\nb 2\n", "line 2: expected 'label: c1,c2,...'"),
+    ("unknown", "a: 1\nq: 2\n", "line 2: unknown vertex label 'q'"),
+    ("repeated", "a: 1\nb: 2\na: 2\n", "line 3: repeated vertex 'a'"),
+    ("bad-value", "a: 1\nb: 1,x\n", "line 2: colors must be integers"),
+    ("empty", "a: 1\nb: , \n", "line 2: empty color list"),
+    ("missing", "c: 1\n# b: 1\n", "missing color lists for: a, b, d"),
+    # a line is cut at its last ':', so a second one joins the label
+    ("two-colons", "a: 1\nb: 1:2\n", "line 2: unknown vertex label 'b: 1'"),
+    ("non-positive", "a: 1\nb: 2,-3\nc: 1\nd: 1\n",
+     "line 2: colors must be positive integers"),
+]
+_COLORING_ERRORS = [
+    ("skipped", "\n# coloring\n \t\nzz 1\n", "line 4: unknown vertex label 'zz'"),
+    ("malformed", "a 1\nb 2 3\n", "line 2: expected 'label color'"),
+    ("unknown", "a 1\nq 2\n", "line 2: unknown vertex label 'q'"),
+    ("repeated", "a 1\nb 2\na 2\n", "line 3: repeated vertex 'a'"),
+    ("bad-value", "a 1\nb x\n", "line 2: bad color 'x'"),
+    ("empty", "a 1\nb\n", "line 2: expected 'label color'"),
+    ("missing", "c 1\n# b 1\n", "coloring misses: a, b, d"),
+]
+
+
+@pytest.mark.parametrize("command,text,message", [
+    pytest.param(command, text, message, id=f"{command}-{name}")
+    for command, cases in (("count", _LIST_ERRORS), ("color", _LIST_ERRORS),
+                           ("verify", _COLORING_ERRORS))
+    for name, text, message in cases
+])
+def test_labelled_file_errors(tmp_path, command, text, message):
+    # list files and coloring files share one line reader: each error has
+    # one text, exit code 2 and no output
+    (tmp_path / "p4.txt").write_text(P4)
+    (tmp_path / "f.txt").write_text(text)
+    argv = ["verify", "p4.txt", "f.txt"] if command == "verify" else [
+        command, "p4.txt", "--list", "f.txt"]
+    out = run_cli(*argv, cwd=tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_labels_with_colons_get_lists(tmp_path, capsys):
+    # an edge-list label may contain ':'; its list line is cut at the last one
+    (tmp_path / "t.txt").write_text("a:b c\nc d\n")
+    (tmp_path / "l.txt").write_text("a:b: 1,2\nc: 1,2\nd: 1,2\n")
+    assert run_in_process("count", str(tmp_path / "t.txt"), "--list",
+                          str(tmp_path / "l.txt")) == 0
+    assert capsys.readouterr().out == "2\n"
+    out = run_cli("color", "t.txt", "--list", "l.txt", cwd=tmp_path)
+    assert out.returncode == 0
+    coloring = dict(line.split() for line in out.stdout.splitlines())
+    assert set(coloring) == {"a:b", "c", "d"}
+    assert coloring["a:b"] != coloring["d"]
+
+
 def test_k_after_a_flag(p4_file, tmp_path, monkeypatch):
     # K may follow a flag, with the output of K before it
     for cmd, k, want in (("color", "2", "a 2\nb 1\nc 2\nd 1\n"), ("count", "3", "12\n")):

@@ -13,6 +13,8 @@ from treesym import (
     to_rooted,
 )
 from treesym.construction import _table
+from treesym.counting import _binom
+from treesym.errors import SaturatedCountError
 from treesym.families import (
     all_trees_up_to,
     nonisomorphic_rooted_trees,
@@ -28,6 +30,16 @@ def leaf_rt():
 
 
 # -- BigCount ----------------------------------------------------------------
+
+def test_binom_guards():
+    # a class as large as the internal cap cannot be clamped soundly, and
+    # choosing none is one way even under the smallest cap
+    with pytest.raises(SaturatedCountError, match="internal cap too small"):
+        _binom(9, 3, 3)
+    assert _binom(9, 0, 1) == 1
+    assert _binom(9, 0, 5) == 1
+    assert _binom(9, 2, None) == 36
+
 
 def test_bigcount_validation():
     with pytest.raises(ValueError):

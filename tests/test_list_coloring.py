@@ -75,6 +75,11 @@ def test_parse_list_file_errors(p3):
         parse_list_file("0: 1\n1 2\n2: 1\n", p3)
     with pytest.raises(ListFormatError, match="^line 3: empty color list$"):
         parse_list_file("0: 1\n1: 2\n2: , \n", p3)
+    # a non-positive color is named with its line, before any missing list
+    with pytest.raises(ListFormatError, match="^line 2: colors must be positive integers$"):
+        parse_list_file("0: 1\n1: 2,0\n", p3)
+    with pytest.raises(ListFormatError, match="^line 1: colors must be positive integers$"):
+        parse_list_file("2: -3\n0: 1\n1: 1\n", p3)
 
 
 # -- counting -------------------------------------------------------------------

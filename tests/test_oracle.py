@@ -204,6 +204,17 @@ def test_search_agrees_with_raw_scan():
                 assert got == want
 
 
+def test_search_on_rooted_views():
+    # a rooted view is searched as given: only automorphisms that fix its
+    # root need breaking, as the exact parameters of that view say
+    from treesym import distinguishing_chromatic_number, distinguishing_number
+
+    for t in all_trees_up_to(7):
+        rt = RootedTree(t, 0)
+        assert brute_distinguishing_number(rt) == distinguishing_number(rt)
+        assert brute_chromatic_distinguishing_number(rt) == distinguishing_chromatic_number(rt)
+
+
 def test_search_node_bound():
     with pytest.raises(EnumerationBoundError, match=r"node_bound=50 nodes \(the node_bound"):
         brute_distinguishing_number(star(8), node_bound=50)

@@ -77,6 +77,21 @@ def test_parse_self_loop():
         parse_tree("a a")
 
 
+@pytest.mark.parametrize("edges,bad", [
+    ([("a", "b")], "('a', 'b')"),
+    ([(0, 1), (1, None)], "(1, None)"),
+    ([(0,)], "(0,)"),
+    ([(0, 1, 2)], "(0, 1, 2)"),
+    # three ends and one: four in all, but neither is a pair
+    ([(0, 1, 2), (0,)], "(0, 1, 2)"),
+], ids=["labels", "none", "short", "long", "long-then-short"])
+def test_constructor_rejects_malformed_edges(edges, bad):
+    # the first edge that is no pair of ids is named, as an InvalidTreeError
+    with pytest.raises(InvalidTreeError) as err:
+        Tree(["x", "y", "z"], edges)
+    assert str(err.value) == f"edge {bad} is not a pair of vertex ids"
+
+
 def test_parse_empty():
     with pytest.raises(InvalidTreeError, match="empty"):
         parse_tree("   \n# only a comment\n")
@@ -198,6 +213,17 @@ def test_synthetic_label_never_collides():
 def test_code_of_leaf():
     rt = to_rooted(Tree(["a"], []))
     assert canonical_code(rt, 0) == "()"
+
+
+def test_ids_past_the_last_vertex_are_refused(p4):
+    # a root or a code vertex must be an id of the tree or view
+    with pytest.raises(InvalidTreeError, match=r"^root id 4 out of range$"):
+        RootedTree(p4, p4.n)
+    rt = to_rooted(p4)
+    # the last id of the subdivided view is its synthetic root
+    assert canonical_code(rt, rt.n - 1) == "((())(()))"
+    with pytest.raises(InvalidTreeError, match=r"^vertex id 5 out of range$"):
+        canonical_code(rt, rt.n)
 
 
 def test_code_of_star2():
