@@ -62,7 +62,6 @@ _HOMES = {
         "to_edge_list",
         "to_parens",
         "to_rooted",
-        "vertex_orbits",
     ), "trees"),
 }
 

@@ -92,7 +92,7 @@ def _certificate_json(rt, cert) -> dict | None:
     labels = rt.labels
     return {
         "vertex": labels[cert.vertex],
-        "synthetic_vertex": rt.is_synthetic(cert.vertex),
+        "synthetic_vertex": cert.vertex == rt.subdivision_vertex,
         "children": sorted(labels[c] for c in cert.children),
         "k": cert.k,
         "degenerate": cert.degenerate,

@@ -44,10 +44,6 @@ class Coloring(_Frozen):
     def __getitem__(self, v: int) -> int:
         return self.colors[v]
 
-    def restricted_to(self, vertices) -> "Coloring":
-        keep = set(vertices)
-        return Coloring({v: c for v, c in self.colors.items() if v in keep})
-
 
 class Certificate(_Frozen):
     """Witness that the proper variant needs one extra color: a vertex of

@@ -31,7 +31,6 @@ from .trees import (
     is_proper,
     original_tree,
     to_rooted,
-    vertex_orbits,
 )
 
 DEFAULT_CLASS_CAP = 100_000
@@ -439,14 +438,16 @@ def check_orbit_list_equality(rt: RootedTree, assignment: ListAssignment,
     assignment.require_cover(rt.n)
     if not assignment.is_uniform(k):
         raise ValueError("orbit-list comparison requires uniform lists of size k")
-    orbits = vertex_orbits(rt)
+    # orbits of the root-preserving group, top down: two vertices share one
+    # exactly when their parents do and their subtrees are isomorphic.  An
+    # orbit is named by its first member in BFS order
+    ids, parent = rt.code_ids(), rt.parent
+    orbit = [rt.root] * rt.n
     first: dict = {}
-    for v in rt.bfs_order:
-        o = orbits[v]
-        if o not in first:
-            first[o] = v
-        elif assignment.get(first[o]) != assignment.get(v):
-            return OrbitListCheck(False, (first[o], v))
+    for v in rt.bfs_order[1:]:
+        u = orbit[v] = first.setdefault((orbit[parent[v]], ids[v]), v)
+        if u != v and assignment.get(u) != assignment.get(v):
+            return OrbitListCheck(False, (u, v))
     return OrbitListCheck(True, None)
 
 
@@ -465,7 +466,8 @@ def construct_list_distinguishing_coloring(
     colors = _list_witness(rt, assignment, proper)
     if colors is None:
         return None
-    coloring = Coloring(colors).restricted_to(range(rt.origin_count))
+    colors.pop(rt.subdivision_vertex, None)
+    coloring = Coloring(colors)
     verify_on = original_tree(rt) if rt.subdivided else t
     if not distinguishes(verify_on, coloring) or (
             proper and not is_proper(verify_on, coloring)):

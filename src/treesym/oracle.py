@@ -72,7 +72,14 @@ def _group_order(rt: RootedTree, bound: int, knob: str) -> int:
     return order
 
 
-def _canonical_iso(rt: RootedTree, a: int, b: int) -> dict:
+def _children(rt: RootedTree) -> list:
+    # every vertex's children in discovery order, sliced out of the BFS
+    # order by child span
+    order, span = rt.bfs_order, rt._child_span
+    return [order[span[2 * v]:span[2 * v + 1]] for v in range(rt.n)]
+
+
+def _canonical_iso(rt: RootedTree, kids: list, a: int, b: int) -> dict:
     # one fixed isomorphism between two subtrees with equal codes
     ids = rt.code_ids()
     out = {}
@@ -80,8 +87,8 @@ def _canonical_iso(rt: RootedTree, a: int, b: int) -> dict:
     while stack:
         x, y = stack.pop()
         out[x] = y
-        xs = sorted(rt.children[x], key=lambda c: (ids[c], c))
-        ys = sorted(rt.children[y], key=lambda c: (ids[c], c))
+        xs = sorted(kids[x], key=lambda c: (ids[c], c))
+        ys = sorted(kids[y], key=lambda c: (ids[c], c))
         for cx, cy in zip(xs, ys):
             stack.append((cx, cy))
     return out
@@ -89,16 +96,17 @@ def _canonical_iso(rt: RootedTree, a: int, b: int) -> dict:
 
 def _rooted_perms(rt: RootedTree) -> list:
     ids = rt.code_ids()
+    kids = _children(rt)
     maps: dict = {}
     for v in reversed(rt.bfs_order):
         groups: dict = {}
-        for c in rt.children[v]:
+        for c in kids[v]:
             groups.setdefault(ids[c], []).append(c)
         combined = [{v: v}]
         for members in groups.values():
             members = sorted(members)
             isos = {
-                (a, b): _canonical_iso(rt, a, b)
+                (a, b): _canonical_iso(rt, kids, a, b)
                 for a in members
                 for b in members
             }
@@ -233,25 +241,29 @@ def _search_distinguishing(t, k: int, proper: bool,
 
     # uncolored subtree shapes, computed locally so the search does not
     # depend on the canonical-code machinery it helps to validate
+    kids = _children(rt)
     shape: dict = {}
     for v in reversed(rt.bfs_order):
-        shape[v] = tuple(sorted(shape[c] for c in rt.children[v]))
+        shape[v] = tuple(sorted(shape[c] for c in kids[v]))
 
     order: list = []
     stack = [rt.root]
     while stack:
         v = stack.pop()
         order.append(v)
-        for c in reversed(rt.children[v]):
+        for c in reversed(kids[v]):
             stack.append(c)
-    pos = {v: i for i, v in enumerate(order)}
-    sizes = rt.subtree_sizes()
+    # a subtree ends in preorder at a leaf: the leaf's own, then its
+    # ancestors' for as long as each is its parent's last child, deepest first
+    parent = rt.parent
     completes_at: list = [[] for _ in range(n)]
-    for v in range(n):
-        completes_at[pos[v] + sizes[v] - 1].append(v)
-    depth = rt.depth
-    for bucket in completes_at:
-        bucket.sort(key=lambda v: -depth[v])
+    for i, v in enumerate(order):
+        if kids[v]:
+            continue
+        completes_at[i].append(v)
+        while parent[v] >= 0 and kids[parent[v]][-1] == v:
+            v = parent[v]
+            completes_at[i].append(v)
 
     colors: dict = {}
     forms: dict = {}
@@ -265,7 +277,7 @@ def _search_distinguishing(t, k: int, proper: bool,
                     return None
             return dict(colors)
         v = order[i]
-        par = rt.parent[v]
+        par = parent[v]
         for c in range(1, k + 1):
             if proper and par >= 0 and colors[par] == c:
                 continue
@@ -279,9 +291,9 @@ def _search_distinguishing(t, k: int, proper: bool,
             pushed = []
             alive = True
             for u in completes_at[i]:
-                f = (colors[u], tuple(sorted(forms[w] for w in rt.children[u])))
+                f = (colors[u], tuple(sorted(forms[w] for w in kids[u])))
                 forms[u] = f
-                key = (rt.parent[u], shape[u])
+                key = (parent[u], shape[u])
                 bucket = taken.setdefault(key, [])
                 if f in bucket:
                     alive = False

@@ -12,6 +12,7 @@ codes, sibling classes and every walker read one flat sibling order.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 
 from .errors import InvalidTreeError, ListFormatError, TreeSyntaxError
@@ -37,7 +38,7 @@ class Tree:
             raise InvalidTreeError("vertex labels must be unique")
         edges = list(edges)
         try:
-            ends = [int(x) for u, v in edges for x in (u, v)]
+            ends = [operator.index(x) for u, v in edges for x in (u, v)]
         except (TypeError, ValueError):
             _reject(labels, edges)
         if labels and ends and (min(ends) < 0 or max(ends) >= len(labels)):
@@ -179,7 +180,7 @@ def _reject(labels: tuple, edges):
     seen = set()
     for e in edges:
         try:
-            u, v = map(int, e)
+            u, v = map(operator.index, e)
         except (TypeError, ValueError):
             raise InvalidTreeError(f"edge {e!r} is not a pair of vertex ids") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -227,8 +228,7 @@ class RootedTree:
     children of ``v`` are ``bfs_order[_child_span[2v]:_child_span[2v + 1]]``
     in discovery order.  The same span of the flat sibling order, built on
     the first walk, holds them by (class rank, id), so a sibling class is a
-    run of equal class ids.  ``children`` and ``depth`` are derived on
-    demand.
+    run of equal class ids.
     """
 
     def __init__(self, base: Tree, root: int):
@@ -286,36 +286,10 @@ class RootedTree:
         self.parent = array("i", parent)
         self.bfs_order = array("i", order)
         self._child_span = span
-        self._children: tuple | None = None
-        self._depth: array | None = None
         self._code_ids: tuple | None = None
         self._order: list | None = None
         self._groups: array | None = None
-        self._sizes: tuple | None = None
         self._class_structure: tuple | None = None
-
-    @property
-    def children(self) -> tuple:
-        """Children per vertex, in BFS discovery order (materialized lazily;
-        the children of each vertex sit contiguously in ``bfs_order``)."""
-        if self._children is None:
-            order = self.bfs_order
-            span = self._child_span
-            self._children = tuple(
-                tuple(order[span[2 * v]:span[2 * v + 1]]) for v in range(self.n)
-            )
-        return self._children
-
-    @property
-    def depth(self) -> array:
-        """Distance from the root per vertex (computed on first use)."""
-        if self._depth is None:
-            depth = array("i", bytes(4 * self.n))
-            parent = self.parent
-            for v in self.bfs_order[1:]:
-                depth[v] = depth[parent[v]] + 1
-            self._depth = depth
-        return self._depth
 
     @property
     def base(self) -> Tree:
@@ -344,19 +318,6 @@ class RootedTree:
         if self.subdivided:
             return self._source.labels + (self._center_label,)
         return self._source.labels
-
-    def is_synthetic(self, v: int) -> bool:
-        return self.subdivided and v == self.subdivision_vertex
-
-    def subtree_sizes(self) -> tuple:
-        if self._sizes is None:
-            sizes = [1] * self.n
-            for v in reversed(self.bfs_order):
-                p = self.parent[v]
-                if p >= 0:
-                    sizes[p] += sizes[v]
-            self._sizes = tuple(sizes)
-        return self._sizes
 
     # -- canonical codes ------------------------------------------------
 
@@ -591,27 +552,6 @@ def original_tree(rt: RootedTree) -> Tree:
     """The tree a rooted view was built from: for a subdivided view of
     :func:`to_rooted`, the input tree itself, without the synthetic vertex."""
     return rt._source
-
-
-def vertex_orbits(rt: RootedTree) -> tuple:
-    """Orbit id per vertex under the root-preserving automorphism group.
-
-    Two vertices share an orbit exactly when their parents do and their
-    subtree codes agree, so a top-down refinement suffices.
-    """
-    ids = rt.code_ids()
-    orbit = [0] * rt.n
-    table: dict = {}
-    for v in rt.bfs_order:
-        if v == rt.root:
-            continue
-        key = (orbit[rt.parent[v]], ids[v])
-        got = table.get(key)
-        if got is None:
-            got = len(table) + 1
-            table[key] = got
-        orbit[v] = got
-    return tuple(orbit)
 
 
 def _color_map(coloring, n: int | None = None):

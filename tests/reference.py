@@ -1,4 +1,5 @@
-"""Naive references for canonical codes, sibling-class order, rooted
+"""Naive references for the per-vertex views of a rooted tree (children,
+depths, subtree sizes), canonical codes, sibling-class order, rooted
 isomorphism, the tree front end, the witness walkers and the verifier.
 
 Builds the Aho–Hopcroft–Ullman parenthesis string of every vertex's
@@ -19,31 +20,61 @@ from treesym.errors import (
 )
 
 
-def vertex_strings(rt) -> list:
-    """Parenthesis string of the subtree at every vertex of ``rt``."""
-    out = [None] * rt.n
-    for v in reversed(rt.bfs_order):
-        out[v] = "(" + "".join(sorted(out[c] for c in rt.children[v])) + ")"
+def children(rt) -> list:
+    """Children per vertex of ``rt`` in BFS discovery order, read off its
+    parent array and BFS order alone."""
+    out = [[] for _ in range(rt.n)]
+    for v in rt.bfs_order:
+        if rt.parent[v] >= 0:
+            out[rt.parent[v]].append(v)
+    return [tuple(c) for c in out]
+
+
+def depths(rt) -> list:
+    """Distance from the root per vertex of ``rt``."""
+    out = [0] * rt.n
+    for v in rt.bfs_order:
+        if rt.parent[v] >= 0:
+            out[v] = out[rt.parent[v]] + 1
     return out
 
 
-def sibling_order(rt, strings, v) -> list:
+def subtree_sizes(rt) -> list:
+    """Number of vertices per subtree of ``rt``."""
+    out = [1] * rt.n
+    for v in reversed(rt.bfs_order):
+        if rt.parent[v] >= 0:
+            out[rt.parent[v]] += out[v]
+    return out
+
+
+def vertex_strings(rt) -> list:
+    """Parenthesis string of the subtree at every vertex of ``rt``."""
+    kids = children(rt)
+    out = [None] * rt.n
+    for v in reversed(rt.bfs_order):
+        out[v] = "(" + "".join(sorted(out[c] for c in kids[v])) + ")"
+    return out
+
+
+def sibling_order(kids, strings, v) -> list:
     """Members of each sibling class below ``v``, ascending, with the
-    classes in the order of their strings."""
+    classes in the order of their strings; ``kids`` is :func:`children`."""
     groups: dict = {}
-    for c in rt.children[v]:
+    for c in kids[v]:
         groups.setdefault(strings[c], []).append(c)
     return [tuple(sorted(groups[s])) for s in sorted(groups)]
 
 
 def extract_subtree(rt, v: int) -> RootedTree:
     """The subtree of ``rt`` rooted at ``v``, as a standalone rooted tree."""
+    kids = children(rt)
     verts = []
     stack = [v]
     while stack:
         x = stack.pop()
         verts.append(x)
-        stack.extend(rt.children[x])
+        stack.extend(kids[x])
     remap = {x: i for i, x in enumerate(verts)}
     labels = [rt.base.labels[x] for x in verts]
     edges = [(remap[rt.parent[x]], remap[x]) for x in verts if x != v]
@@ -55,11 +86,12 @@ def is_isomorphic_rooted(a: RootedTree, b: RootedTree) -> bool:
     of canonical codes."""
     if a.n != b.n:
         return False
-    sa, sb = a.subtree_sizes(), b.subtree_sizes()
-    da, db = a.depth, b.depth
+    sa, sb = subtree_sizes(a), subtree_sizes(b)
+    da, db = depths(a), depths(b)
+    ka, kb = children(a), children(b)
 
     def match(x: int, y: int) -> bool:
-        cx, cy = a.children[x], b.children[y]
+        cx, cy = ka[x], kb[y]
         if len(cx) != len(cy) or sa[x] != sb[y]:
             return False
         if sorted(sa[c] for c in cx) != sorted(sb[c] for c in cy):
@@ -186,13 +218,12 @@ def tree_center(adj) -> frozenset:
 def rooted(adj, root: int, halves=()) -> dict:
     """BFS from ``root`` over ``adj`` (a synthetic root, id len(adj), takes
     ``halves`` as its children), then bottom-up interning of sorted child
-    class tuples.  Returns parent, depth, bfs_order, children, the class
+    class tuples.  Returns parent, bfs_order, children, the class
     id per vertex, the (child class, multiplicity) pairs per class, the
     number of classes, and the leaf bound: the most leaf children of one
     vertex, and at least 1."""
     n = len(adj) + (1 if halves else 0)
     parent = [-1] * n
-    depth = [0] * n
     children = [[] for _ in range(n)]
     order = [root, *halves]
     seen = [False] * n
@@ -200,7 +231,6 @@ def rooted(adj, root: int, halves=()) -> dict:
     for w in halves:
         seen[w] = True
         parent[w] = root
-        depth[w] = 1
         children[root].append(w)
     i = 1 if halves else 0
     while i < len(order):
@@ -210,7 +240,6 @@ def rooted(adj, root: int, halves=()) -> dict:
             if not seen[w]:
                 seen[w] = True
                 parent[w] = v
-                depth[w] = depth[v] + 1
                 children[v].append(w)
                 order.append(w)
     ids = [0] * n
@@ -228,7 +257,7 @@ def rooted(adj, root: int, halves=()) -> dict:
         ids[v] = table[key]
         if parent[v] >= 0:
             pending[parent[v]].append(ids[v])
-    return {"parent": parent, "depth": depth, "bfs_order": order,
+    return {"parent": parent, "bfs_order": order,
             "children": [tuple(c) for c in children], "ids": ids, "pairs": pairs,
             "classes": len(table), "leaf_bound": max([1] + [k.count(0) for k in table])}
 

@@ -36,7 +36,7 @@ from treesym.families import (
     star,
 )
 
-from reference import extract_subtree, is_isomorphic_rooted
+from reference import children, extract_subtree, is_isomorphic_rooted
 
 
 def all_trees(max_n):
@@ -116,7 +116,7 @@ def test_criterion_4_certificate_characterization():
         pool = (cert.k - 1) * table.proper_raw(cert.children[0], cert.k)
         assert pool < len(cert.children)
         # the reported class is a full sibling class, not a fragment
-        siblings = rt.children[cert.vertex]
+        siblings = children(rt)[cert.vertex]
         outside = [s for s in siblings if s not in cert.children]
         for s in outside:
             assert not is_isomorphic_rooted(rep, extract_subtree(rt, s))

@@ -433,7 +433,7 @@ def test_unrank_proper_examples(p3):
     rt = to_rooted(p3)
     col = _pinned_proper(rt, 3, 1, 0)
     assert col.colors[rt.root] == 1
-    assert sorted(col.colors[c] for c in rt.children[rt.root]) == [2, 3]
+    assert sorted(col.colors[c] for c in reference.children(rt)[rt.root]) == [2, 3]
     assert is_proper(rt, col) and is_distinguishing(rt, col)
     with pytest.raises(NoColoringError):
         _pinned_proper(rt, 2, 1, 0)
@@ -492,8 +492,7 @@ def test_properize_local_structure():
         out = properize(rt, base)
         for u, v in rt.base.edges:
             assert out.colors[u] != out.colors[v]
-        for v in range(rt.n):
-            kids = rt.children[v]
+        for kids in reference.children(rt):
             for i, a in enumerate(kids):
                 for b in kids[i + 1:]:
                     if out.colors[a] == out.colors[b]:

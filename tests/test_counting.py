@@ -23,6 +23,7 @@ from treesym.families import (
 )
 
 from conftest import tree_from
+import reference
 
 
 def leaf_rt():
@@ -167,7 +168,7 @@ def test_sibling_classes_share_entries():
     t = tree_from(("r", "a"), ("r", "b"), ("a", "x"), ("b", "y"))
     rt = to_rooted(t)
     table = CountTable(rt)
-    u, v = rt.children[rt.root]
+    u, v = reference.children(rt)[rt.root]
     for k in (2, 3):
         assert table.distinguishing(u, k) == table.distinguishing(v, k)
         assert table.proper(u, k) == table.proper(v, k)

@@ -24,7 +24,7 @@ from treesym.families import (
     star,
 )
 
-from reference import extract_subtree, is_isomorphic_rooted
+from reference import depths, extract_subtree, is_isomorphic_rooted
 
 
 # -- groups ------------------------------------------------------------------
@@ -98,7 +98,8 @@ def test_z2_for_distinguishing_parity_colorings():
         rt = to_rooted(t)
         if not rt.subdivided:
             continue
-        parity = {v: 1 + (rt.depth[v] % 2) for v in range(t.n)}
+        depth = depths(rt)
+        parity = {v: 1 + (depth[v] % 2) for v in range(t.n)}
         if is_distinguishing(t, parity):
             assert enumerate_automorphisms(t).order <= 2
 

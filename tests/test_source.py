@@ -157,3 +157,52 @@ def test_no_dead_attributes():
     dead = dead_attributes(defined, sources.values())
     assert not dead, "stored but never read: " + "; ".join(
         f"{m}: {', '.join(names)}" for m, names in sorted(dead.items()))
+
+
+# public methods and properties that no src/ module reads, each with the
+# reason it stays public
+UNREAD_PUBLIC = {
+    "AutGroup.order": "value-type API: the README and the tests read group orders",
+    "BigCount.positive": "value-type API: the README and the tests ask counts for it",
+    "ListAssignment.uniform": "value-type API: the README and the tests build lists by it",
+    "Tree.vertex_id": "bench/workloads.py reads it",
+    "ListAssignment.extended": "bench/workloads.py reads it",
+    "ListAssignment.max_color": "bench/workloads.py reads it",
+}
+
+
+def public_members(source: str) -> set:
+    """``Class.name`` of every public method and property of a module's
+    classes."""
+    return {f"{node.name}.{m.name}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) for m in node.body
+            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not m.name.startswith("_")}
+
+
+def unread_members(defined: dict, sources) -> list:
+    """The public members of the classes of ``defined`` (name -> source)
+    whose name no source in ``sources`` reads as an attribute."""
+    read = {node.attr for src in sources for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    members = set().union(*map(public_members, defined.values()))
+    return sorted(m for m in members if m.split(".")[1] not in read)
+
+
+def test_unread_members_are_found():
+    mod = "class C:\n    def a(self): pass\n    @property\n    def b(self): pass\n" \
+          "    def _c(self): pass\n    def __len__(self): return 0\n"
+    assert unread_members({"m": mod}, [mod]) == ["C.a", "C.b"]
+    # a parameter or a string of the same name is no attribute read
+    assert unread_members({"m": mod}, ["def f(a): x.b()\n", "getattr(x, 'a')\n"]) == ["C.a"]
+
+
+def test_public_members_are_read_in_src():
+    # every public method or property of a src/treesym class is read as an
+    # attribute in some src/ module, or is listed above with its reason;
+    # a listed member that src/ reads leaves the list
+    sources = _sources("src")
+    unread = unread_members(_package(sources), sources.values())
+    assert unread == sorted(UNREAD_PUBLIC), (
+        f"unread and unlisted: {sorted(set(unread) - set(UNREAD_PUBLIC))}; "
+        f"listed but read in src/: {sorted(set(UNREAD_PUBLIC) - set(unread))}")

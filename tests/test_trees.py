@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from treesym import trees
 from treesym import (
+    ListAssignment,
     RootedTree,
     Tree,
     canonical_code,
     center,
+    check_orbit_list_equality,
     distinguishes,
     enumerate_automorphisms,
     is_distinguishing,
@@ -20,7 +22,6 @@ from treesym import (
     to_edge_list,
     to_parens,
     to_rooted,
-    vertex_orbits,
 )
 from treesym.construction import construct_distinguishing_coloring, parameters
 from treesym.errors import InvalidTreeError, TreeSyntaxError
@@ -50,11 +51,12 @@ def test_parse_parens_star():
     rt = parse_tree("(()())", fmt="parens")
     assert isinstance(rt, RootedTree)
     assert not rt.subdivided
-    assert len(rt.children[rt.root]) == 2
-    assert all(not rt.children[c] for c in rt.children[rt.root])
+    kids = reference.children(rt)
+    assert len(kids[rt.root]) == 2
+    assert all(not kids[c] for c in kids[rt.root])
     # whitespace anywhere between the parentheses is skipped
     spaced = parse_tree(" ( ()\n\t() ) \n", fmt="parens")
-    assert (spaced.n, spaced.labels, spaced.children) == (rt.n, rt.labels, rt.children)
+    assert (spaced.n, spaced.labels, reference.children(spaced)) == (rt.n, rt.labels, kids)
 
 
 def test_parse_disconnected():
@@ -84,7 +86,13 @@ def test_parse_self_loop():
     ([(0, 1, 2)], "(0, 1, 2)"),
     # three ends and one: four in all, but neither is a pair
     ([(0, 1, 2), (0,)], "(0, 1, 2)"),
-], ids=["labels", "none", "short", "long", "long-then-short"])
+    # ids are integral: no float is truncated, and no string is read as
+    # digits, whether it spells a pair or an id
+    ([(0, 1.7), (1, 2)], "(0, 1.7)"),
+    (["01", "12"], "'01'"),
+    ([("0", "1"), ("1", "2")], "('0', '1')"),
+], ids=["labels", "none", "short", "long", "long-then-short", "float", "digit-pairs",
+        "digit-ids"])
 def test_constructor_rejects_malformed_edges(edges, bad):
     # the first edge that is no pair of ids is named, as an InvalidTreeError
     with pytest.raises(InvalidTreeError) as err:
@@ -173,7 +181,7 @@ def test_to_rooted_edge_center(p4):
     assert rt.subdivided
     assert rt.n == 5
     assert rt.root == rt.subdivision_vertex == 4
-    assert sorted(rt.children[rt.root]) == [1, 2]
+    assert sorted(reference.children(rt)[rt.root]) == [1, 2]
     assert rt.labels[:4] == p4.labels
     assert original_tree(rt) is p4
 
@@ -234,17 +242,17 @@ def test_code_of_star2():
 def test_code_lengths():
     for t in all_trees_up_to(7):
         rt = to_rooted(t)
-        sizes = rt.subtree_sizes()
+        sizes = reference.subtree_sizes(rt)
         for v in range(rt.n):
             assert len(canonical_code(rt, v)) == 2 * sizes[v]
 
 
 def _assert_order_matches_reference(rt):
-    strings = vertex_strings(rt)
+    strings, kids = vertex_strings(rt), reference.children(rt)
     assert to_parens(rt) == strings[rt.root]
     for v in range(rt.n):
         assert canonical_code(rt, v) == strings[v]
-        assert [tuple(ms) for _, ms in rt.sibling_classes(v)] == sibling_order(rt, strings, v)
+        assert [tuple(ms) for _, ms in rt.sibling_classes(v)] == sibling_order(kids, strings, v)
 
 
 def _caterpillar(spine: int, leaves: int) -> Tree:
@@ -363,17 +371,26 @@ def test_class_order_deterministic_across_relabeling():
 # -- orbits ---------------------------------------------------------------------
 
 def test_vertex_orbits_match_group():
+    # the orbit refinement of check_orbit_list_equality, judged by the
+    # explicit group: lists constant on the true orbits pass, so no two
+    # orbits merge, and a new list at any one member of an orbit fails
+    # with a witness pair inside that orbit, so no orbit splits
     for t in all_trees_up_to(8):
         rt = to_rooted(t)
-        orbits = vertex_orbits(rt)
         group = enumerate_automorphisms(rt)
-        seen: dict = {}
-        for v in range(rt.n):
-            orbit = frozenset(a.perm[v] for a in group.elements)
-            seen.setdefault(orbit, set()).add(orbits[v])
-        # one refinement id per true orbit, and never merging two orbits
-        assert all(len(ids) == 1 for ids in seen.values())
-        assert len({ids.pop() for ids in seen.values()}) == len(seen)
+        orbits = sorted({frozenset(a.perm[v] for a in group.elements)
+                         for v in range(rt.n)}, key=min)
+        lists = ListAssignment({v: frozenset({2 * i + 1, 2 * i + 2})
+                                for i, orbit in enumerate(orbits) for v in orbit})
+        assert check_orbit_list_equality(rt, lists, 2).equality_expected
+        fresh = (2 * len(orbits) + 1, 2 * len(orbits) + 2)
+        for orbit in orbits:
+            if len(orbit) < 2:
+                continue
+            for m in orbit:
+                got = check_orbit_list_equality(rt, lists.extended(m, fresh), 2)
+                assert not got.equality_expected
+                assert m in got.witness and set(got.witness) <= orbit
 
 
 # -- fast verifier -----------------------------------------------------------------
@@ -465,7 +482,8 @@ def _equal_pair(rt, phi, where):
     (``where="leaves"``), such a pair at half the height (``"mid"``) or at
     the root (``"root"``); None when no vertex has one.  On a
     distinguishing ``phi`` that vertex then holds the first equal pair."""
-    ids, grouped, span, depth = rt.code_ids(), rt._grouped(), rt._child_span, rt.depth
+    ids, grouped, span = rt.code_ids(), rt._grouped(), rt._child_span
+    depth = reference.depths(rt)
     mid = max(depth) // 2
     at = {"leaves": lambda p, c: c == 0, "mid": lambda p, c: depth[p] == mid,
           "root": lambda p, c: p == rt.root}[where]
@@ -562,9 +580,9 @@ def _shuffled_text(t, rng) -> str:
 
 def _assert_rooted_matches(rt, ref):
     assert list(rt.parent) == ref["parent"]
-    assert list(rt.depth) == ref["depth"]
     assert list(rt.bfs_order) == ref["bfs_order"]
-    assert list(rt.children) == ref["children"]
+    order, span = rt.bfs_order, rt._child_span
+    assert [tuple(order[span[2 * v]:span[2 * v + 1]]) for v in range(rt.n)] == ref["children"]
     assert list(rt.code_ids()) == ref["ids"]
     owner, kids, mults = rt.class_structure()
     pairs = [()] * rt.class_count()
